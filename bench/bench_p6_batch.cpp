@@ -1,20 +1,16 @@
 // P6 -- zero-allocation batch routing engine.
 //
-// Three claims from the scratch/plan-cache/batch work, measured on the
-// same style of workload as P4/P5 (100k packets, hierarchical routers):
-//   * scratch:   route_segments_into with a reused RouteScratch beats the
-//     allocating route_segments twin (which pays a fresh scratch + output
-//     buffer per packet);
-//   * plan cache: a warm chain memo beats rebuilding the bitonic chain
-//     per packet -- the headline gate is warm-scratch time <= 0.67x the
-//     allocating path (>= 1.5x throughput);
-//   * batch:     route_batch over a thread pool scales the sequential
+// Two claims from the scratch/batch work, measured on the same style of
+// workload as P4/P5 (100k packets, hierarchical routers):
+//   * scratch: route_segments_into with a reused RouteScratch is no slower
+//     than the allocating route_segments twin (which pays a fresh scratch
+//     + output buffer per packet); its time is also gated absolutely;
+//   * batch:   route_batch over a thread pool scales the sequential
 //     throughput near-linearly (recorded as gauges; not CI-gated because
 //     the smoke runners have two cores).
-// The workload repeats 100k packets over a fixed pool of distinct pairs so
-// the warm arms actually hit the plan cache; the cold arms run against a
-// deliberately tiny cache (forced eviction) to approximate the
-// cache-less allocating engine this PR replaces. Per-arm minima over
+// The workload repeats 100k packets over a fixed pool of distinct pairs:
+// repeated-pair traffic, a labelled best case. Both arms run after a
+// warm-up pass, so buffers are at steady state. Per-arm minima over
 // interleaved reps are compared, as in P5: noise is strictly additive.
 //
 // Flags: --packets N (default 100000), --pairs N (default 8192),
@@ -42,8 +38,7 @@ namespace {
 
 using namespace oblivious;
 
-// `packets` demands drawn (with repetition) from `pairs` distinct pairs:
-// dense enough that a default-capacity plan cache converges to ~100% hits.
+// `packets` demands drawn (with repetition) from `pairs` distinct pairs.
 RoutingProblem repeated_pairs(const Mesh& mesh, std::size_t packets,
                               std::size_t pairs) {
   Rng rng(7);
@@ -107,41 +102,21 @@ double best(const std::vector<double>& xs) {
   return *std::min_element(xs.begin(), xs.end());
 }
 
-struct ArmTimes {
-  std::vector<double> alloc, cold, warm;
-};
-
-// Interleaves the three sequential arms; `cold_router` carries the tiny
-// thrashing cache, `warm_router` the default one (pre-warmed by the
-// caller's first rep).
-ArmTimes run_sequential_arms(const Router& cold_router,
-                             const Router& warm_router,
-                             const RoutingProblem& problem, int reps,
-                             std::uint64_t& checksum) {
-  ArmTimes t;
-  for (int r = 0; r < reps; ++r) {
-    t.alloc.push_back(run_alloc(cold_router, problem, checksum));
-    t.cold.push_back(run_scratch(cold_router, problem, checksum));
-    t.warm.push_back(run_scratch(warm_router, problem, checksum));
-  }
-  return t;
-}
-
-void report_config(const std::string& tag, const Router& cold_router,
-                   const Router& warm_router, const PlanCache& warm_cache,
+void report_config(const std::string& tag, const Router& router,
                    const RoutingProblem& problem, int reps,
                    std::uint64_t& checksum) {
   const std::size_t packets = problem.size();
-  // Warm-up: grows buffers, populates both caches to steady state.
-  run_alloc(cold_router, problem, checksum);
-  run_scratch(cold_router, problem, checksum);
-  run_scratch(warm_router, problem, checksum);
+  // Warm-up: grows buffers to steady state.
+  run_alloc(router, problem, checksum);
+  run_scratch(router, problem, checksum);
 
-  const ArmTimes t =
-      run_sequential_arms(cold_router, warm_router, problem, reps, checksum);
-  const double alloc_best = best(t.alloc);
-  const double cold_best = best(t.cold);
-  const double warm_best = best(t.warm);
+  std::vector<double> alloc_times, scratch_times;
+  for (int r = 0; r < reps; ++r) {
+    alloc_times.push_back(run_alloc(router, problem, checksum));
+    scratch_times.push_back(run_scratch(router, problem, checksum));
+  }
+  const double alloc_best = best(alloc_times);
+  const double scratch_best = best(scratch_times);
 
   Table table({"arm", "best ms", "packets/s", "vs alloc"});
   const auto row = [&](const std::string& name, double seconds) {
@@ -151,16 +126,9 @@ void report_config(const std::string& tag, const Router& cold_router,
         .add(static_cast<double>(packets) / seconds, 0)
         .add(seconds / alloc_best, 3);
   };
-  row("alloc (tiny cache)", alloc_best);
-  row("scratch (tiny cache)", cold_best);
-  row("scratch (warm cache)", warm_best);
+  row("alloc", alloc_best);
+  row("scratch", scratch_best);
   table.print(std::cout);
-
-  const PlanCache::Stats stats = warm_cache.stats();
-  const double lookups = static_cast<double>(stats.hits + stats.misses);
-  const double hit_rate =
-      lookups > 0 ? static_cast<double>(stats.hits) / lookups : 0.0;
-  std::cout << "warm cache hit rate: " << hit_rate * 100.0 << "%\n";
 
   // The OBLV_GAUGE_SET macro caches one registry handle per call site, so
   // runtime-composed names need the registry API directly.
@@ -169,20 +137,17 @@ void report_config(const std::string& tag, const Router& cold_router,
     registry.gauge("batch." + tag + "." + name).set(v);
   };
   gauge("alloc_best_seconds", alloc_best);
-  gauge("scratch_cold_best_seconds", cold_best);
-  gauge("scratch_warm_best_seconds", warm_best);
-  gauge("scratch_vs_alloc_ratio", cold_best / alloc_best);
-  gauge("warm_vs_alloc_ratio", warm_best / alloc_best);
-  gauge("plan_cache_hit_rate", hit_rate);
+  gauge("scratch_warm_best_seconds", scratch_best);
+  gauge("scratch_vs_alloc_ratio", scratch_best / alloc_best);
 
-  // Thread sweep through the batch driver (warm router). Recorded, not
-  // gated: smoke runners have two cores.
+  // Thread sweep through the batch driver. Recorded, not gated: smoke
+  // runners have two cores.
   std::vector<SegmentPath> out;
   for (const std::size_t threads : {1, 2, 4, 8}) {
     ThreadPool pool(threads);
     std::vector<double> times;
     for (int r = 0; r < reps; ++r) {
-      times.push_back(run_batch(warm_router, problem, pool, out, checksum));
+      times.push_back(run_batch(router, problem, pool, out, checksum));
     }
     const double b = best(times);
     std::cout << "route_batch x" << threads << ": " << b * 1e3 << " ms ("
@@ -202,8 +167,8 @@ int main(int argc, char** argv) {
   const int reps = std::max<int>(1, static_cast<int>(flags.get_int("reps", 5)));
 
   bench::banner("P6 / zero-allocation batch routing",
-                "scratch vs allocating, warm vs cold plan cache, and the "
-                "route_batch thread sweep (gate: warm <= 0.67x alloc)");
+                "scratch vs allocating on repeated pairs, and the "
+                "route_batch thread sweep (gate: scratch <= 1.05x alloc)");
 
   std::uint64_t checksum = 0;
 
@@ -211,22 +176,15 @@ int main(int argc, char** argv) {
     std::cout << "\n-- 2D 64x64, hierarchical (Section 3) --\n";
     const Mesh mesh = Mesh::cube(2, 64);
     const RoutingProblem problem = repeated_pairs(mesh, packets, pairs);
-    const AncestorRouter cold(mesh, AncestorRouter::Hierarchy::kAccessGraph,
-                              /*plan_cache_capacity=*/4);
-    const AncestorRouter warm(mesh, AncestorRouter::Hierarchy::kAccessGraph);
-    report_config("2d64", cold, warm, warm.plan_cache(), problem, reps,
-                  checksum);
+    const AncestorRouter router(mesh, AncestorRouter::Hierarchy::kAccessGraph);
+    report_config("2d64", router, problem, reps, checksum);
   }
   {
     std::cout << "\n-- 3D 32^3, hierarchical (Section 4) --\n";
     const Mesh mesh = Mesh::cube(3, 32);
     const RoutingProblem problem = repeated_pairs(mesh, packets, pairs);
-    const NdRouter cold(mesh, NdRouter::RandomnessMode::kNaive,
-                        NdRouter::BridgeHeightMode::kPrescribed,
-                        /*plan_cache_capacity=*/4);
-    const NdRouter warm(mesh);
-    report_config("3d32", cold, warm, warm.plan_cache(), problem, reps,
-                  checksum);
+    const NdRouter router(mesh);
+    report_config("3d32", router, problem, reps, checksum);
   }
 
   std::cout << "checksum: " << checksum << "\n";

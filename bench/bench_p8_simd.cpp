@@ -6,7 +6,7 @@
 // warm single-thread workload of P6 -- while producing bit-identical
 // segment output (verified here on every run, not just in the tests).
 //
-// Arms (per mesh config, single pool thread, warm plan cache):
+// Arms (per mesh config, single pool thread, warmed buffers):
 //   * scalar: route_batch with BatchEngine::kScalar -- the P6 engine;
 //   * soa:    route_batch with BatchEngine::kSoa    -- this PR.
 // Both arms use the same counter-derived packet_rng streams, so they do
@@ -90,7 +90,7 @@ void report_config(const std::string& tag, const Router& router,
   std::vector<SegmentPath> scalar_out;
   std::vector<SegmentPath> soa_out;
 
-  // Warm-up: plan cache to steady state, output/engine buffers grown --
+  // Warm-up: output/engine buffers grown --
   // and the determinism contract checked on real workload output.
   run_engine(router, problem, pool, BatchEngine::kScalar, scalar_out,
              checksum);

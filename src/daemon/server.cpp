@@ -178,13 +178,16 @@ int Server::run() {
   serving_.store(true, std::memory_order_release);
 
   while (!drain_requested_.load(std::memory_order_acquire)) {
+    reap_connections();
     UniqueFd conn = accept_connection(listener.get(), options_.poll_tick_ms);
     if (!conn.valid()) continue;
     connections_accepted_.fetch_add(1, std::memory_order_relaxed);
     oblv::MutexLock lock(conn_mu_);
-    connections_.emplace_back(
-        [this, fd = std::move(conn)]() mutable {
+    Connection& c = connections_.emplace_back();
+    c.thread = std::thread(
+        [this, done = &c.done, fd = std::move(conn)]() mutable {
           connection_loop(std::move(fd));
+          done->store(true, std::memory_order_release);
         });
   }
 
@@ -202,7 +205,7 @@ int Server::run() {
   stopping_.store(true, std::memory_order_release);
   {
     oblv::MutexLock lock(conn_mu_);
-    for (std::thread& t : connections_) t.join();
+    for (Connection& c : connections_) c.thread.join();
     connections_.clear();
   }
   serving_.store(false, std::memory_order_release);
@@ -212,6 +215,15 @@ int Server::run() {
   OBLV_CHECK(s.unaccounted_requests() == 0,
              "drain accounting: submitted != delivered + rejected + expired");
   return 0;
+}
+
+void Server::reap_connections() {
+  oblv::MutexLock lock(conn_mu_);
+  connections_.remove_if([](Connection& c) {
+    if (!c.done.load(std::memory_order_acquire)) return false;
+    c.thread.join();  // already past its last statement: returns at once
+    return true;
+  });
 }
 
 void Server::handle_route_request(int fd, std::vector<std::uint8_t>& payload,

@@ -4,7 +4,8 @@
 // Threading model (DESIGN.md section 11):
 //
 //   accept loop (run())   one thread; poll-bounded accept, spawns a
-//                         connection thread per client, notices
+//                         connection thread per client, joins the
+//                         ones that finished every iteration, notices
 //                         request_drain() within one poll tick
 //   connection threads    read frames, run admission, wait for the
 //                         batch worker to fulfil their request, write
@@ -41,6 +42,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <list>
 #include <memory>
 #include <string>
 #include <thread>
@@ -167,11 +169,22 @@ class Server {
   std::atomic<std::uint64_t> protocol_errors_{0};
   std::atomic<std::uint64_t> connections_accepted_{0};
 
+  // A connection thread and the flag it raises as its last act, so the
+  // accept loop can join it without blocking. List nodes never move,
+  // so the thread may hold a pointer to its own flag.
+  struct Connection {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
+  // Joins and drops every connection whose thread has finished.
+  void reap_connections();
+
   oblv::Mutex conn_mu_;
-  // Connection threads, appended by the accept loop and joined at
-  // drain step 4; only run() touches the vector, but always under the
-  // lock so the discipline survives future refactors.
-  std::vector<std::thread> connections_ OBLV_GUARDED_BY(conn_mu_);
+  // Live connections, appended by the accept loop, reaped by it once
+  // finished and joined at drain step 4; only run() touches the list,
+  // but always under the lock so the discipline survives future
+  // refactors.
+  std::list<Connection> connections_ OBLV_GUARDED_BY(conn_mu_);
 
   // Cumulative load accounting. Written by the single batch worker,
   // snapshotted by metrics readers; both paths lock. Deterministic: the

@@ -1,6 +1,7 @@
 #include "decomposition/decomposition.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
 
 #include "obs/metrics.hpp"
@@ -91,6 +92,13 @@ std::int64_t Decomposition::cell_index(std::int64_t x, std::int64_t shift,
   return floor_div(x - shift, m);
 }
 
+bool Decomposition::discarded_corner(int type, bool truncated_all) const {
+  // Section 3.1: corner pieces (truncated in every dimension) are
+  // discarded -- they coincide with type-1 submeshes of the next level.
+  return type > 1 && config_.discard_corners && truncated_all &&
+         !mesh_->torus();
+}
+
 std::optional<RegularSubmesh> Decomposition::make_submesh(int level, int type,
                                                           const Coord& indices) const {
   const std::int64_t m = side_at(level);
@@ -127,11 +135,7 @@ std::optional<RegularSubmesh> Decomposition::make_submesh(int level, int type,
     extent[d] = hi - lo + 1;
   }
 
-  // Section 3.1: corner pieces (truncated in every dimension) are
-  // discarded -- they coincide with type-1 submeshes of the next level.
-  if (type > 1 && config_.discard_corners && truncated_all && !mesh_->torus()) {
-    return std::nullopt;
-  }
+  if (discarded_corner(type, truncated_all)) return std::nullopt;
 
   RegularSubmesh sm;
   sm.level = level;
@@ -146,6 +150,18 @@ RegularSubmesh Decomposition::type1_at(const Coord& p, int level) const {
   auto sm = submesh_at(p, level, 1);
   OBLV_CHECK(sm.has_value(), "type-1 submesh must always exist");
   return *std::move(sm);
+}
+
+void Decomposition::append_type1_region(const Coord& p, int level,
+                                        std::vector<Region>& out) const {
+  OBLV_REQUIRE(level >= 0 && level <= k_, "level out of range");
+  const int h = k_ - level;
+  Coord anchor;
+  Coord extent;
+  anchor.resize(p.size());
+  extent.resize(p.size(), std::int64_t{1} << h);
+  for (std::size_t d = 0; d < p.size(); ++d) anchor[d] = (p[d] >> h) << h;
+  out.emplace_back(std::move(anchor), std::move(extent));
 }
 
 std::optional<RegularSubmesh> Decomposition::submesh_at(const Coord& p, int level,
@@ -169,36 +185,106 @@ std::optional<RegularSubmesh> Decomposition::submesh_at(const Coord& p, int leve
   return sm;
 }
 
+bool Decomposition::shares_cell(const Coord& s, const Coord& t,
+                                int inner_height, int level, int type,
+                                Coord& indices) const {
+  const std::int64_t m = side_at(level);
+  const std::int64_t shift =
+      static_cast<std::int64_t>(type - 1) * shift_lambda(level);
+  const std::int64_t inner_mask = (std::int64_t{1} << inner_height) - 1;
+  bool truncated_all = true;
+  indices.resize(s.size());
+  for (std::size_t d = 0; d < s.size(); ++d) {
+    // The cell is an interval per dimension, so it holds an aligned box
+    // exactly when it holds the box's first and last coordinate.
+    const std::int64_t i = cell_index(s[d] & ~inner_mask, shift, m);
+    if (cell_index(s[d] | inner_mask, shift, m) != i ||
+        cell_index(t[d] & ~inner_mask, shift, m) != i ||
+        cell_index(t[d] | inner_mask, shift, m) != i) {
+      return false;
+    }
+    const std::int64_t raw = shift + i * m;
+    truncated_all = truncated_all && (raw < 0 || raw + m > side_);
+    indices[d] = i;
+  }
+  return !discarded_corner(type, truncated_all);
+}
+
+RegularSubmesh Decomposition::shared_submesh(int level, int type,
+                                             const Coord& indices,
+                                             const Coord& s,
+                                             const Coord& t) const {
+  auto sm = make_submesh(level, type, indices);
+  OBLV_CHECK(sm.has_value() && sm->region.contains(*mesh_, s) &&
+                 sm->region.contains(*mesh_, t),
+             "a shared submesh must contain both endpoints");
+  return *std::move(sm);
+}
+
 std::optional<RegularSubmesh> Decomposition::common_submesh(const Coord& s,
                                                             const Coord& t,
                                                             int level,
                                                             int type) const {
-  const std::int64_t m = side_at(level);
-  const std::int64_t shift =
-      static_cast<std::int64_t>(type - 1) * shift_lambda(level);
-  for (std::size_t d = 0; d < s.size(); ++d) {
-    if (cell_index(s[d], shift, m) != cell_index(t[d], shift, m)) {
-      return std::nullopt;
-    }
-  }
-  return submesh_at(s, level, type);
+  OBLV_REQUIRE(level >= 0 && level <= k_, "level out of range");
+  OBLV_REQUIRE(type >= 1 && type <= num_types(level), "type out of range");
+  Coord indices;
+  if (!shares_cell(s, t, 0, level, type, indices)) return std::nullopt;
+  return shared_submesh(level, type, indices, s, t);
 }
 
 RegularSubmesh Decomposition::deepest_common(const Coord& s, const Coord& t,
                                              bool use_shifted_types) const {
-  for (int level = k_; level >= 0; --level) {
-    const int types = use_shifted_types ? num_types(level) : 1;
-    for (int type = 1; type <= types; ++type) {
-      if (auto sm = common_submesh(s, t, level, type)) {
-        OBLV_ENSURES(sm->region.contains(*mesh_, s) &&
-                         sm->region.contains(*mesh_, t),
-                     "deepest_common must return a submesh containing both "
-                     "endpoints");
-        return *std::move(sm);
+  OBLV_REQUIRE(s.size() == static_cast<std::size_t>(mesh_->dim()) &&
+                   t.size() == s.size(),
+               "coordinate dimension mismatch");
+  std::uint64_t differing = 0;  // OR over dimensions of s_d xor t_d
+  std::uint64_t spread = 0;     // max per-dimension distance
+  for (std::size_t d = 0; d < s.size(); ++d) {
+    OBLV_REQUIRE(s[d] >= 0 && s[d] < side_ && t[d] >= 0 && t[d] < side_,
+                 "coordinate out of range");
+    differing |= static_cast<std::uint64_t>(s[d] ^ t[d]);
+    std::int64_t gap = s[d] > t[d] ? s[d] - t[d] : t[d] - s[d];
+    if (mesh_->torus()) gap = std::min(gap, side_ - gap);
+    spread = std::max(spread, static_cast<std::uint64_t>(gap));
+  }
+  // Type-1 cells at height h are coord >> h, so s and t first share one
+  // at the height of the highest differing bit.
+  const int type1_level = k_ - static_cast<int>(std::bit_width(differing));
+  Coord indices;
+  if (use_shifted_types) {
+    // Deeper levels can only hold both endpoints in a shifted cell, and
+    // only where the cell side exceeds their spread in every dimension.
+    const int deepest = k_ - static_cast<int>(std::bit_width(spread));
+    for (int level = deepest; level > type1_level; --level) {
+      for (int type = 2; type <= num_types(level); ++type) {
+        if (shares_cell(s, t, 0, level, type, indices)) {
+          return shared_submesh(level, type, indices, s, t);
+        }
       }
     }
   }
-  OBLV_UNREACHABLE("the root submesh contains every pair");
+  indices.resize(s.size());
+  const int height = k_ - type1_level;
+  for (std::size_t d = 0; d < s.size(); ++d) indices[d] = s[d] >> height;
+  return shared_submesh(type1_level, 1, indices, s, t);
+}
+
+RegularSubmesh Decomposition::first_cover(const Coord& s, const Coord& t,
+                                          int inner_level,
+                                          int from_level) const {
+  OBLV_REQUIRE(inner_level >= 0 && inner_level <= k_ && from_level >= 0 &&
+                   from_level < inner_level,
+               "first_cover needs 0 <= from_level < inner_level <= k");
+  const int inner_height = k_ - inner_level;
+  Coord indices;
+  for (int level = from_level; level >= 0; --level) {
+    for (int type = 1; type <= num_types(level); ++type) {
+      if (shares_cell(s, t, inner_height, level, type, indices)) {
+        return shared_submesh(level, type, indices, s, t);
+      }
+    }
+  }
+  OBLV_UNREACHABLE("the root submesh contains everything");
 }
 
 void Decomposition::for_each_submesh(
@@ -209,7 +295,7 @@ void Decomposition::for_each_submesh(
   const std::int64_t m = side_at(level);
   const std::int64_t cells = side_ / m;
   const std::int64_t lo = (type == 1 || mesh_->torus()) ? 0 : -1;
-  const std::int64_t hi = (type == 1 || mesh_->torus()) ? cells - 1 : cells - 1;
+  const std::int64_t hi = cells - 1;
   // For shifted families on the mesh the index range is [-1, cells-1]
   // (the grid extended by one layer before translation, Section 3.1).
   const int dim = mesh_->dim();

@@ -33,6 +33,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "mesh/mesh.hpp"
 #include "mesh/region.hpp"
@@ -91,6 +92,11 @@ class Decomposition {
 
   // The type-1 submesh containing p at the level (always exists).
   RegularSubmesh type1_at(const Coord& p, int level) const;
+  // Appends just its region to `out`, in closed form: the aligned cube
+  // of side 2^h at (p >> h) << h, h = height_of(level). The routers build
+  // their chains from these.
+  void append_type1_region(const Coord& p, int level,
+                           std::vector<Region>& out) const;
 
   // The submesh of the given family containing p, or nullopt when that
   // piece is discarded (Section 3 corner rule).
@@ -100,12 +106,22 @@ class Decomposition {
   std::optional<RegularSubmesh> common_submesh(const Coord& s, const Coord& t,
                                                int level, int type) const;
 
-  // Deepest regular submesh containing both s and t, scanning all levels
-  // deepest-first. With use_shifted_types == false this searches the
+  // Deepest regular submesh containing both s and t; at equal depth the
+  // lowest type wins. With use_shifted_types == false this searches the
   // access *tree* of type-1 submeshes only (the Maggs et al. baseline);
   // with true it searches the full access graph including bridges.
+  // Closed form: the type-1 answer sits at height bit_width(max_d s_d^t_d),
+  // and only the levels below it whose side exceeds dist(s, t) per
+  // dimension are probed for a shared shifted cell.
   RegularSubmesh deepest_common(const Coord& s, const Coord& t,
                                 bool use_shifted_types) const;
+
+  // The Section 4 bridge search: the first submesh containing the type-1
+  // submeshes at `inner_level` around s and around t, probing levels
+  // from_level, from_level-1, ..., 0 and, per level, types in order.
+  // \pre from_level < inner_level, both in [0, leaf_level()].
+  RegularSubmesh first_cover(const Coord& s, const Coord& t, int inner_level,
+                             int from_level) const;
 
   // Enumerates every valid submesh of a family at a level.
   void for_each_submesh(int level, int type,
@@ -118,6 +134,19 @@ class Decomposition {
  private:
   // Per-dimension grid index of the family cell containing coordinate x.
   std::int64_t cell_index(std::int64_t x, std::int64_t shift, std::int64_t m) const;
+  // True when a shifted piece truncated in every dimension (on the mesh)
+  // must be dropped under the Section 3 corner rule.
+  bool discarded_corner(int type, bool truncated_all) const;
+  // True when the (level, type) cell containing s also contains the
+  // aligned 2^inner_height boxes around s and t and is not a discarded
+  // corner; fills `indices` with the cell's grid index. Integer
+  // arithmetic only.
+  bool shares_cell(const Coord& s, const Coord& t, int inner_height, int level,
+                   int type, Coord& indices) const;
+  // make_submesh for a cell that shares_cell accepted, with the always-on
+  // check that the region holds both endpoints.
+  RegularSubmesh shared_submesh(int level, int type, const Coord& indices,
+                                const Coord& s, const Coord& t) const;
   // Builds the submesh for the given per-dimension indices; nullopt when
   // discarded. `indices` uses the same convention as cell_index.
   std::optional<RegularSubmesh> make_submesh(int level, int type,

@@ -1,8 +1,8 @@
 // Structure-of-arrays batch routing engine.
 //
 // The scalar batch loop pays per packet for work that only depends on the
-// (source, destination) pair: a mutex-guarded plan-cache lookup, chain
-// decoding, and virtual route_segments_into dispatch. Because path
+// (source, destination) pair: plan resolution, chain handling, and
+// virtual route_segments_into dispatch. Because path
 // selection is oblivious, packets are free to be processed in any order,
 // so this engine groups a chunk's packets by pair (counting sort over a
 // reusable open-addressing table), resolves each pair's routing plan ONCE,

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "mesh/contracts.hpp"
-#include "obs/metrics.hpp"
 #include "routing/one_bend.hpp"
 #include "util/bits.hpp"
 #include "util/check.hpp"
@@ -82,26 +81,16 @@ inline void trivial_path_into(NodeId s, SegmentPath& out) {
   out.dest = s;
 }
 
-inline void count_plan_cache(bool hit) {
-  if (hit) {
-    OBLV_COUNTER_ADD("routing.plan_cache.hits", 1);
-  } else {
-    OBLV_COUNTER_ADD("routing.plan_cache.misses", 1);
-  }
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // AncestorRouter (Section 3)
 // ---------------------------------------------------------------------------
 
-AncestorRouter::AncestorRouter(const Mesh& mesh, Hierarchy hierarchy,
-                               std::size_t plan_cache_capacity)
+AncestorRouter::AncestorRouter(const Mesh& mesh, Hierarchy hierarchy)
     : Router(mesh),
       decomp_(mesh, DecompositionConfig::section3()),
-      hierarchy_(hierarchy),
-      plan_cache_(plan_cache_capacity) {}
+      hierarchy_(hierarchy) {}
 
 std::string AncestorRouter::name() const {
   return hierarchy_ == Hierarchy::kAccessTree ? "access-tree" : "hierarchical-2d";
@@ -116,11 +105,20 @@ RegularSubmesh AncestorRouter::bridge_for(NodeId s, NodeId t) const {
   return bridge_at(mesh_->coord(s), mesh_->coord(t));
 }
 
-void AncestorRouter::build_chain(const Coord& cs, const Coord& ct,
-                                 std::vector<Region>& chain,
-                                 std::size_t& up_count) const {
+void AncestorRouter::resolve_plan(NodeId s, NodeId t,
+                                  std::vector<Region>& chain,
+                                  std::size_t& up_count,
+                                  int& bridge_level) const {
+  resolve_plan_at(mesh_->coord(s), mesh_->coord(t), chain, up_count,
+                  bridge_level);
+}
+
+void AncestorRouter::resolve_plan_at(const Coord& cs, const Coord& ct,
+                                     std::vector<Region>& chain,
+                                     std::size_t& up_count,
+                                     int& bridge_level) const {
   const int k = decomp_.leaf_level();
-  const RegularSubmesh bridge = bridge_at(cs, ct);
+  RegularSubmesh bridge = bridge_at(cs, ct);
   OBLV_CHECK(bridge.level < k, "distinct nodes cannot share a leaf submesh");
 
   // Bitonic chain: type-1 ancestors of s at levels k-1 .. bridge.level+1,
@@ -128,28 +126,14 @@ void AncestorRouter::build_chain(const Coord& cs, const Coord& ct,
   chain.clear();
   chain.reserve(static_cast<std::size_t>(2 * (k - bridge.level)) + 1);
   for (int level = k - 1; level > bridge.level; --level) {
-    chain.push_back(decomp_.type1_at(cs, level).region);
+    decomp_.append_type1_region(cs, level, chain);
   }
   up_count = chain.size();
-  chain.push_back(bridge.region);
+  chain.push_back(std::move(bridge.region));
   for (int level = bridge.level + 1; level <= k - 1; ++level) {
-    chain.push_back(decomp_.type1_at(ct, level).region);
+    decomp_.append_type1_region(ct, level, chain);
   }
-}
-
-void AncestorRouter::resolve_plan(NodeId s, NodeId t,
-                                  std::vector<Region>& chain,
-                                  std::size_t& up_count,
-                                  int& bridge_level) const {
   bridge_level = 0;
-  const bool hit =
-      plan_cache_.lookup(s, t, mesh_->dim(), chain, up_count, bridge_level);
-  if (!hit) {
-    build_chain(mesh_->coord(s), mesh_->coord(t), chain, up_count);
-    plan_cache_.insert(s, t, mesh_->dim(), chain, up_count,
-                       /*bridge_level=*/0);
-  }
-  count_plan_cache(hit);
 }
 
 template <typename PathT>
@@ -163,7 +147,7 @@ void AncestorRouter::route_into_impl(NodeId s, NodeId t, Rng& rng,
   const Coord ct = mesh_->coord(t);
   std::size_t up_count = 0;
   int bridge_level = 0;
-  resolve_plan(s, t, scratch.chain, up_count, bridge_level);
+  resolve_plan_at(cs, ct, scratch.chain, up_count, bridge_level);
 
   connect_chain_into<PathT>(
       *mesh_, scratch.chain, up_count, cs, ct, s, t,
@@ -213,13 +197,11 @@ SegmentPath AncestorRouter::route_segments(NodeId s, NodeId t, Rng& rng) const {
 // ---------------------------------------------------------------------------
 
 NdRouter::NdRouter(const Mesh& mesh, RandomnessMode mode,
-                   BridgeHeightMode bridge_mode,
-                   std::size_t plan_cache_capacity)
+                   BridgeHeightMode bridge_mode)
     : Router(mesh),
       decomp_(Decomposition::section4(mesh)),
       mode_(mode),
-      bridge_mode_(bridge_mode),
-      plan_cache_(plan_cache_capacity) {}
+      bridge_mode_(bridge_mode) {}
 
 std::string NdRouter::name() const {
   return mode_ == RandomnessMode::kNaive ? "hierarchical-nd"
@@ -227,7 +209,10 @@ std::string NdRouter::name() const {
 }
 
 std::pair<int, int> NdRouter::heights_for(NodeId s, NodeId t) const {
-  const std::int64_t dist = mesh_->distance(s, t);
+  return heights_at(mesh_->distance(s, t));
+}
+
+std::pair<int, int> NdRouter::heights_at(std::int64_t dist) const {
   OBLV_REQUIRE(dist > 0, "heights are defined for distinct nodes");
   const int k = decomp_.leaf_level();
   const int d = mesh_->dim();
@@ -242,75 +227,46 @@ std::pair<int, int> NdRouter::heights_for(NodeId s, NodeId t) const {
   return {std::max(m1_height, 0), bridge_height};
 }
 
-RegularSubmesh NdRouter::find_bridge(const Coord& cs, const RegularSubmesh& m1,
-                                     const RegularSubmesh& m3,
-                                     int bridge_level) const {
-  // Lemma 4.1: at the prescribed level one of the shifted families
-  // contains the bounding box of s and t (and, by grid alignment, the
-  // whole of M1 and M3). Near the boundary of a non-torus mesh truncation
-  // can defeat a family, so fall upward until a containing submesh is
-  // found; the root always works.
-  for (int level = bridge_level; level >= 0; --level) {
-    for (int type = 1; type <= decomp_.num_types(level); ++type) {
-      const auto sm = decomp_.submesh_at(cs, level, type);
-      if (!sm.has_value()) continue;
-      if (sm->region.contains_region(*mesh_, m1.region) &&
-          sm->region.contains_region(*mesh_, m3.region)) {
-        return *sm;
-      }
-    }
-  }
-  OBLV_UNREACHABLE("the root submesh contains everything");
-}
-
+// Lemma 4.1: at the prescribed level one of the shifted families contains
+// the bounding box of s and t (and, by grid alignment, the whole of M1 and
+// M3). Near the boundary of a non-torus mesh truncation can defeat a
+// family, so first_cover falls upward until a containing submesh is
+// found; the root always works.
 RegularSubmesh NdRouter::bridge_for(NodeId s, NodeId t) const {
   const auto [m1_height, bridge_height] = heights_for(s, t);
   const int k = decomp_.leaf_level();
-  const Coord cs = mesh_->coord(s);
-  const RegularSubmesh m1 = decomp_.type1_at(cs, k - m1_height);
-  const RegularSubmesh m3 = decomp_.type1_at(mesh_->coord(t), k - m1_height);
-  return find_bridge(cs, m1, m3, k - bridge_height);
-}
-
-void NdRouter::build_chain(NodeId s, NodeId t, const Coord& cs,
-                           const Coord& ct, std::vector<Region>& chain,
-                           std::size_t& up_count, int& bridge_level) const {
-  const int k = decomp_.leaf_level();
-  const auto [m1_height, bridge_height] = heights_for(s, t);
-  // One type1_at per endpoint: M1 and M3 anchor both the chain ends and
-  // the bridge search (find_bridge reuses them instead of recomputing).
-  const RegularSubmesh m1 = decomp_.type1_at(cs, k - m1_height);
-  const RegularSubmesh m3 = decomp_.type1_at(ct, k - m1_height);
-  const RegularSubmesh bridge = find_bridge(cs, m1, m3, k - bridge_height);
-
-  // Chain: ascent over s at heights 1..m1_height, the bridge, descent over
-  // t at heights m1_height..1.
-  chain.clear();
-  chain.reserve(static_cast<std::size_t>(2 * m1_height) + 1);
-  for (int height = 1; height < m1_height; ++height) {
-    chain.push_back(decomp_.type1_at(cs, k - height).region);
-  }
-  if (m1_height >= 1) chain.push_back(m1.region);
-  up_count = chain.size();
-  chain.push_back(bridge.region);
-  if (m1_height >= 1) chain.push_back(m3.region);
-  for (int height = m1_height - 1; height >= 1; --height) {
-    chain.push_back(decomp_.type1_at(ct, k - height).region);
-  }
-  bridge_level = bridge.level;
+  return decomp_.first_cover(mesh_->coord(s), mesh_->coord(t), k - m1_height,
+                             k - bridge_height);
 }
 
 void NdRouter::resolve_plan(NodeId s, NodeId t, std::vector<Region>& chain,
                             std::size_t& up_count, int& bridge_level) const {
-  bridge_level = 0;
-  const bool hit =
-      plan_cache_.lookup(s, t, mesh_->dim(), chain, up_count, bridge_level);
-  if (!hit) {
-    build_chain(s, t, mesh_->coord(s), mesh_->coord(t), chain, up_count,
-                bridge_level);
-    plan_cache_.insert(s, t, mesh_->dim(), chain, up_count, bridge_level);
+  resolve_plan_at(mesh_->coord(s), mesh_->coord(t), chain, up_count,
+                  bridge_level);
+}
+
+void NdRouter::resolve_plan_at(const Coord& cs, const Coord& ct,
+                               std::vector<Region>& chain,
+                               std::size_t& up_count,
+                               int& bridge_level) const {
+  const int k = decomp_.leaf_level();
+  const auto [m1_height, bridge_height] = heights_at(mesh_->distance(cs, ct));
+  RegularSubmesh bridge =
+      decomp_.first_cover(cs, ct, k - m1_height, k - bridge_height);
+
+  // Chain: ascent over s at heights 1..m1_height (the last one is M1),
+  // the bridge, descent over t at heights m1_height..1 (from M3).
+  chain.clear();
+  chain.reserve(static_cast<std::size_t>(2 * m1_height) + 1);
+  for (int height = 1; height <= m1_height; ++height) {
+    decomp_.append_type1_region(cs, k - height, chain);
   }
-  count_plan_cache(hit);
+  up_count = chain.size();
+  chain.push_back(std::move(bridge.region));
+  for (int height = m1_height; height >= 1; --height) {
+    decomp_.append_type1_region(ct, k - height, chain);
+  }
+  bridge_level = bridge.level;
 }
 
 template <typename PathT>
@@ -325,7 +281,7 @@ void NdRouter::route_into_impl(NodeId s, NodeId t, Rng& rng,
   const int d = mesh_->dim();
   std::size_t up_count = 0;
   int bridge_level = 0;
-  resolve_plan(s, t, scratch.chain, up_count, bridge_level);
+  resolve_plan_at(cs, ct, scratch.chain, up_count, bridge_level);
 
   if (mode_ == RandomnessMode::kNaive) {
     connect_chain_into<PathT>(

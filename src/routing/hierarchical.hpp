@@ -27,14 +27,9 @@
 // in the bridge-sized box whose coordinate bits are reused (alternating)
 // for all smaller submeshes -- O(d log(D d)) random bits per packet
 // instead of the naive O(d log^2(D d)).
-// Both hierarchical routers memoize their bitonic chains in a PlanCache:
-// the chain depends only on the (s, t) pair, never on the packet's random
-// bits, so a cache hit consumes the same draws and produces byte-identical
-// paths (rng transparency; see DESIGN.md section 8).
 #pragma once
 
 #include "decomposition/decomposition.hpp"
-#include "routing/plan_cache.hpp"
 #include "routing/router.hpp"
 
 namespace oblivious {
@@ -46,10 +41,7 @@ class AncestorRouter final : public Router {
     kAccessGraph,  // type-1 + shifted bridge submeshes (the paper)
   };
 
-  // `plan_cache_capacity` bounds the per-router chain memo (entries, not
-  // bytes); small capacities just evict more, they never change paths.
-  AncestorRouter(const Mesh& mesh, Hierarchy hierarchy,
-                 std::size_t plan_cache_capacity = PlanCache::kDefaultCapacity);
+  AncestorRouter(const Mesh& mesh, Hierarchy hierarchy);
 
   Path route(NodeId s, NodeId t, Rng& rng) const override;
   SegmentPath route_segments(NodeId s, NodeId t, Rng& rng) const override;
@@ -65,31 +57,27 @@ class AncestorRouter final : public Router {
   // analysis and the Lemma 3.3 experiments).
   RegularSubmesh bridge_for(NodeId s, NodeId t) const;
 
-  // Plan-cache introspection (tests/bench). The cache is rng-transparent
-  // memoization, so clearing it is logically const.
-  const PlanCache& plan_cache() const { return plan_cache_; }
-  void clear_plan_cache() const { plan_cache_.clear(); }
-
-  // Resolves the memoized bitonic chain for the pair (plan-cache lookup,
-  // build-and-insert on miss). The chain depends only on (s, t), never on
-  // a packet's random bits, so the SoA batch engine resolves each unique
-  // pair once per batch instead of once per packet. `bridge_level` is
-  // always 0 here (only NdRouter's frugal mode consumes it).
+  // Resolves the bitonic chain for the pair in closed form from the two
+  // node labels. The chain depends only on (s, t), never on a packet's
+  // random bits, so the SoA batch engine resolves each unique pair once
+  // per batch instead of once per packet. `bridge_level` is always 0 here
+  // (only NdRouter's frugal mode consumes it).
   // \pre s != t, both node ids of this router's mesh.
   void resolve_plan(NodeId s, NodeId t, std::vector<Region>& chain,
                     std::size_t& up_count, int& bridge_level) const;
 
  private:
   RegularSubmesh bridge_at(const Coord& cs, const Coord& ct) const;
-  void build_chain(const Coord& cs, const Coord& ct,
-                   std::vector<Region>& chain, std::size_t& up_count) const;
+  // resolve_plan on the endpoints' coordinates.
+  void resolve_plan_at(const Coord& cs, const Coord& ct,
+                       std::vector<Region>& chain, std::size_t& up_count,
+                       int& bridge_level) const;
   template <typename PathT>
   void route_into_impl(NodeId s, NodeId t, Rng& rng, RouteScratch& scratch,
                        PathT& out) const;
 
   Decomposition decomp_;
   Hierarchy hierarchy_;
-  mutable PlanCache plan_cache_;
 };
 
 class NdRouter final : public Router {
@@ -110,8 +98,7 @@ class NdRouter final : public Router {
 
   explicit NdRouter(const Mesh& mesh,
                     RandomnessMode mode = RandomnessMode::kNaive,
-                    BridgeHeightMode bridge_mode = BridgeHeightMode::kPrescribed,
-                    std::size_t plan_cache_capacity = PlanCache::kDefaultCapacity);
+                    BridgeHeightMode bridge_mode = BridgeHeightMode::kPrescribed);
 
   Path route(NodeId s, NodeId t, Rng& rng) const override;
   SegmentPath route_segments(NodeId s, NodeId t, Rng& rng) const override;
@@ -129,13 +116,8 @@ class NdRouter final : public Router {
   // The bridge submesh selected for the pair.
   RegularSubmesh bridge_for(NodeId s, NodeId t) const;
 
-  // Plan-cache introspection (tests/bench); see AncestorRouter.
-  const PlanCache& plan_cache() const { return plan_cache_; }
-  void clear_plan_cache() const { plan_cache_.clear(); }
-
-  // Memoized chain resolution for the pair; see AncestorRouter. The
-  // frugal draw widths derive from `bridge_level` via
-  // decomposition().height_of.
+  // Chain resolution for the pair; see AncestorRouter. The frugal draw
+  // widths derive from `bridge_level` via decomposition().height_of.
   // \pre s != t, both node ids of this router's mesh.
   void resolve_plan(NodeId s, NodeId t, std::vector<Region>& chain,
                     std::size_t& up_count, int& bridge_level) const;
@@ -143,14 +125,12 @@ class NdRouter final : public Router {
   RandomnessMode randomness_mode() const { return mode_; }
 
  private:
-  // `m1` / `m3` are the already-computed type-1 ancestors of s and t at
-  // the m1 level; passing them in keeps each packet to one type1_at lookup
-  // per endpoint (they are reused for the chain as well).
-  RegularSubmesh find_bridge(const Coord& cs, const RegularSubmesh& m1,
-                             const RegularSubmesh& m3, int bridge_level) const;
-  void build_chain(NodeId s, NodeId t, const Coord& cs, const Coord& ct,
-                   std::vector<Region>& chain, std::size_t& up_count,
-                   int& bridge_level) const;
+  // heights_for by the pair's distance.
+  std::pair<int, int> heights_at(std::int64_t dist) const;
+  // resolve_plan on the endpoints' coordinates.
+  void resolve_plan_at(const Coord& cs, const Coord& ct,
+                       std::vector<Region>& chain, std::size_t& up_count,
+                       int& bridge_level) const;
   template <typename PathT>
   void route_into_impl(NodeId s, NodeId t, Rng& rng, RouteScratch& scratch,
                        PathT& out) const;
@@ -158,7 +138,6 @@ class NdRouter final : public Router {
   Decomposition decomp_;
   RandomnessMode mode_;
   BridgeHeightMode bridge_mode_;
-  mutable PlanCache plan_cache_;
 };
 
 }  // namespace oblivious

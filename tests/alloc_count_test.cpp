@@ -1,6 +1,6 @@
 // Proves the zero-allocation claim of the scratch-threaded routing path:
-// after a warm-up pass (which populates the plan cache and grows every
-// reusable buffer to its steady-state capacity), repeated route_into /
+// after a warm-up pass (which grows every reusable buffer to its
+// steady-state capacity), repeated route_into /
 // route_segments_into calls on the hierarchical routers perform ZERO heap
 // allocations. The test binary overrides the global allocation functions
 // with counting wrappers; the contract-checked build is skipped because
@@ -98,8 +98,8 @@ void expect_zero_steady_state(const RouterT& router, const Mesh& mesh) {
   const auto pairs = testing::sample_pairs(mesh, 64, 17);
   RouteScratch scratch;
   SegmentPath out;
-  // Two warm-up passes: the first misses the plan cache and grows buffers,
-  // the second settles any capacity that depends on warm-path sizes.
+  // Two warm-up passes: the first grows buffers, the second settles any
+  // capacity that depends on warm-path sizes.
   count_pass(router, pairs, scratch, out);
   count_pass(router, pairs, scratch, out);
   EXPECT_EQ(count_pass(router, pairs, scratch, out), 0u) << router.name();
@@ -138,9 +138,9 @@ TEST(AllocCount, BaselineRoutersAllocateNothingSteadyState) {
 }
 
 // The SoA batch engine's buffers are all capacity-retaining members, so
-// after a warm-up batch (plan cache populated, grouping tables and draw
-// rows grown, output SmallVecs spilled to their final capacity) repeated
-// batches perform ZERO heap allocations -- the claim soa_batch.hpp makes.
+// after a warm-up batch (grouping tables and draw rows grown, output
+// SmallVecs spilled to their final capacity) repeated batches perform
+// ZERO heap allocations -- the claim soa_batch.hpp makes.
 TEST(AllocCount, SoaBatchEngineAllocatesNothingSteadyState) {
 #if OBLV_CONTRACTS_ACTIVE
   GTEST_SKIP() << "contract validators allocate by design";

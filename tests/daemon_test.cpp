@@ -1,8 +1,9 @@
 // In-process integration tests for the oblvd server: end-to-end routing
 // equivalence with route_batch, the introspection endpoint, admission
 // backpressure, wire-level abuse (oversize prefixes, unknown versions,
-// mid-stream disconnects) that must stay per-connection, and the
-// graceful-drain accounting invariant.
+// mid-stream disconnects) that must stay per-connection, the
+// graceful-drain accounting invariant, and flat threads and mappings
+// over many connections.
 #include "daemon/server.hpp"
 
 #include <gtest/gtest.h>
@@ -11,6 +12,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
+#include <fstream>
+#include <string>
 #include <thread>
 
 #include "daemon/client.hpp"
@@ -398,6 +402,85 @@ TEST(DaemonServerTest, DrainDeliversEverythingAdmitted) {
   EXPECT_EQ(stats.requests_delivered + stats.requests_rejected +
                 stats.requests_expired,
             stats.requests_submitted);
+}
+
+// Threads and memory mappings of this process, from /proc/self.
+std::size_t thread_count() {
+  std::size_t n = 0;
+  for (const auto& entry : std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+std::size_t mapping_count() {
+  std::ifstream maps("/proc/self/maps");
+  std::size_t n = 0;
+  for (std::string line; std::getline(maps, line);) ++n;
+  return n;
+}
+
+// Polls until `probe() <= limit` or a 10 s deadline passes; returns the
+// last reading.
+template <typename Probe>
+std::size_t settle_to(std::size_t limit, Probe probe) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  std::size_t value = probe();
+  while (value > limit && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    value = probe();
+  }
+  return value;
+}
+
+// Every accepted connection gets a thread; a closed connection's thread
+// (and its stack mapping) must be reclaimed while the daemon serves, not
+// only at drain, or a long-lived daemon grows by one thread stack per
+// connection it ever served.
+TEST(DaemonServerTest, ThreadsAndMappingsStayFlatAcrossConnectionsAndDrain) {
+  constexpr int kWarmup = 200;
+  constexpr int kCycles = 10000;
+  // Slack for allocator arenas and sanitizer bookkeeping; a leak shows
+  // up as one or more mappings per connection, i.e. thousands.
+  constexpr std::size_t kMapSlack = 256;
+  const Mesh mesh({16, 16});
+  const std::size_t threads_before = thread_count();
+  std::size_t maps_serving = 0;
+  std::size_t threads_serving = 0;
+  {
+    ServerHarness harness(mesh);
+    const auto connect_close = [&](int cycles) {
+      const std::uint64_t target =
+          harness.server().stats().connections_accepted +
+          static_cast<std::uint64_t>(cycles);
+      for (int i = 0; i < cycles; ++i) connect_to(harness.endpoint());
+      settle_to(0, [&]() -> std::size_t {
+        return harness.server().stats().connections_accepted < target;
+      });
+    };
+    connect_close(kWarmup);
+    DaemonClient client(harness.endpoint());
+    ASSERT_TRUE(client.ping());
+    threads_serving = thread_count();
+    maps_serving = mapping_count();
+
+    connect_close(kCycles);
+    EXPECT_GE(harness.server().stats().connections_accepted,
+              static_cast<std::uint64_t>(kWarmup + kCycles + 1));
+    EXPECT_LE(settle_to(threads_serving, thread_count), threads_serving)
+        << "connection threads outlive their connections";
+    EXPECT_LE(settle_to(maps_serving + kMapSlack, mapping_count),
+              maps_serving + kMapSlack)
+        << "mappings grew with the number of connections served";
+    EXPECT_TRUE(client.ping());  // the long-lived connection still works
+  }
+  // Drained and destroyed: every daemon thread is gone, and no mapping
+  // outlives the server.
+  EXPECT_EQ(settle_to(threads_before, thread_count), threads_before);
+  EXPECT_LE(settle_to(maps_serving + kMapSlack, mapping_count),
+            maps_serving + kMapSlack);
 }
 
 }  // namespace

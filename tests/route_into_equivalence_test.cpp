@@ -2,8 +2,7 @@
 // for every registered algorithm, route_into / route_segments_into must
 // select byte-identical paths AND consume exactly the same rng stream as
 // the allocating route / route_segments twins -- the rng-stream
-// compatibility invariant of DESIGN.md section 8. Also pins plan-cache
-// correctness: warm hits and evicted-and-rebuilt plans never change paths.
+// compatibility invariant of DESIGN.md section 8.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -16,7 +15,6 @@
 #include "parallel/route_batch.hpp"
 #include "parallel/soa_batch.hpp"
 #include "rng/rng.hpp"
-#include "routing/hierarchical.hpp"
 #include "routing/registry.hpp"
 #include "routing/route_scratch.hpp"
 #include "test_support.hpp"
@@ -126,81 +124,6 @@ TEST(RouteIntoEquivalence, DirtyScratchIsHarmless) {
       EXPECT_EQ(fresh_out, reused_out) << router->name();
     }
   }
-}
-
-// Plan-cache hits must reproduce the cold-path routes exactly: route every
-// pair twice (second pass is warm) and against a cache-cleared router.
-TEST(RouteIntoEquivalence, WarmPlanCacheMatchesCold) {
-  for (const MeshCase& mc : std::vector<MeshCase>{{2, 16, false}, {3, 8, false}}) {
-    const Mesh mesh = Mesh::cube(mc.dim, mc.side, mc.torus);
-    const auto pairs = testing::sample_pairs(mesh, 48, 43);
-    for (const Algorithm algo :
-         {Algorithm::kAccessTree, Algorithm::kHierarchical2d,
-          Algorithm::kHierarchicalNd, Algorithm::kHierarchicalNdFrugal}) {
-      const auto router = make_router(algo, mesh);
-      RouteScratch scratch;
-      SegmentPath cold, warm;
-      std::vector<SegmentPath> cold_results;
-      for (const auto& [s, t] : pairs) {
-        Rng rng(57);
-        router->route_segments_into(s, t, rng, scratch, cold);
-        cold_results.push_back(cold);
-      }
-      for (std::size_t i = 0; i < pairs.size(); ++i) {
-        Rng rng(57);
-        router->route_segments_into(pairs[i].first, pairs[i].second, rng,
-                                    scratch, warm);
-        EXPECT_EQ(cold_results[i], warm) << router->name();
-      }
-    }
-  }
-}
-
-TEST(RouteIntoEquivalence, PlanCacheCountersAdvance) {
-  const Mesh mesh = Mesh::cube(2, 16);
-  const AncestorRouter router(mesh, AncestorRouter::Hierarchy::kAccessGraph);
-  RouteScratch scratch;
-  SegmentPath out;
-  Rng rng(5);
-  router.route_segments_into(1, 200, rng, scratch, out);
-  EXPECT_EQ(router.plan_cache().stats().misses, 1u);
-  EXPECT_EQ(router.plan_cache().stats().hits, 0u);
-  router.route_segments_into(1, 200, rng, scratch, out);
-  EXPECT_EQ(router.plan_cache().stats().misses, 1u);
-  EXPECT_EQ(router.plan_cache().stats().hits, 1u);
-  router.clear_plan_cache();
-  router.route_segments_into(1, 200, rng, scratch, out);
-  EXPECT_EQ(router.plan_cache().stats().misses, 2u);
-}
-
-// A pathologically small cache forces constant eviction; rebuilt plans
-// must be identical to the ones a big-cache router produces.
-TEST(RouteIntoEquivalence, EvictionNeverChangesPaths) {
-  const Mesh mesh = Mesh::cube(2, 16);
-  const auto pairs = testing::sample_pairs(mesh, 128, 61);
-  const AncestorRouter tiny(mesh, AncestorRouter::Hierarchy::kAccessGraph,
-                            /*plan_cache_capacity=*/4);
-  const AncestorRouter big(mesh, AncestorRouter::Hierarchy::kAccessGraph);
-  const NdRouter tiny_nd(mesh, NdRouter::RandomnessMode::kFrugal,
-                         NdRouter::BridgeHeightMode::kPrescribed,
-                         /*plan_cache_capacity=*/4);
-  const NdRouter big_nd(mesh, NdRouter::RandomnessMode::kFrugal);
-  RouteScratch scratch;
-  SegmentPath a, b;
-  for (int round = 0; round < 3; ++round) {  // revisit evicted pairs
-    for (const auto& [s, t] : pairs) {
-      Rng rng_a(71), rng_b(71);
-      tiny.route_segments_into(s, t, rng_a, scratch, a);
-      big.route_segments_into(s, t, rng_b, scratch, b);
-      EXPECT_EQ(a, b);
-      Rng rng_c(73), rng_d(73);
-      tiny_nd.route_segments_into(s, t, rng_c, scratch, a);
-      big_nd.route_segments_into(s, t, rng_d, scratch, b);
-      EXPECT_EQ(a, b);
-    }
-  }
-  EXPECT_GT(tiny.plan_cache().stats().evictions, 0u);
-  EXPECT_GT(tiny.plan_cache().stats().hits, 0u);  // tiny still hits on rounds
 }
 
 // The SoA batch engine must reproduce route_segments_into packet for
