@@ -1,8 +1,10 @@
 #!/bin/sh
-# Rewrites tests/golden/digests.tsv from the current code.
+# Rewrites tests/golden/digests.tsv (routes) and
+# tests/golden/sim_digests.tsv (simulators) from the current code.
 #
 # Only for an intentional behaviour change: regenerating turns every
-# drift into the new truth, so say in CHANGES.md why the routes moved.
+# drift into the new truth, so say in CHANGES.md why the routes or the
+# delivery schedules moved.
 #
 #   tests/golden/regenerate.sh [build-dir]   (default: build)
 set -eu
@@ -10,4 +12,7 @@ root=$(cd "$(dirname "$0")/../.." && pwd)
 build=${1:-"$root/build"}
 cmake --build "$build" --target golden_dump
 "$build/tests/golden_dump" > "$root/tests/golden/digests.tsv"
-echo "wrote $root/tests/golden/digests.tsv ($(grep -vc '^#' "$root/tests/golden/digests.tsv") entries)"
+"$build/tests/golden_dump" sim > "$root/tests/golden/sim_digests.tsv"
+for f in digests.tsv sim_digests.tsv; do
+  echo "wrote $root/tests/golden/$f ($(grep -vc '^#' "$root/tests/golden/$f") entries)"
+done

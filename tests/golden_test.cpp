@@ -1,6 +1,7 @@
-// Fails on any drift from the committed golden corpus
-// (tests/golden/digests.tsv; see golden_corpus.hpp for what an entry
-// pins). Each entry is also routed through route_batch on two threads,
+// Fails on any drift from the committed golden corpora:
+// tests/golden/digests.tsv pins the routes (see golden_corpus.hpp) and
+// tests/golden/sim_digests.tsv the simulators (see golden_sim_corpus.hpp).
+// Each route entry is also routed through route_batch on two threads,
 // whose default engine is the SoA kernel wherever it is supported, and
 // must hash to the same segment output.
 #include <gtest/gtest.h>
@@ -11,13 +12,14 @@
 #include <vector>
 
 #include "golden_corpus.hpp"
+#include "golden_sim_corpus.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace oblivious {
 namespace {
 
-std::map<std::string, std::string> load_digests() {
-  std::ifstream in(OBLV_GOLDEN_DIGESTS);
+std::map<std::string, std::string> load_digests(const char* file) {
+  std::ifstream in(file);
   std::map<std::string, std::string> lines;
   std::string line;
   while (std::getline(in, line)) {
@@ -28,7 +30,7 @@ std::map<std::string, std::string> load_digests() {
 }
 
 TEST(GoldenCorpus, EveryEntryMatchesItsDigest) {
-  const auto digests = load_digests();
+  const auto digests = load_digests(OBLV_GOLDEN_DIGESTS);
   ASSERT_FALSE(digests.empty()) << "cannot read " << OBLV_GOLDEN_DIGESTS;
   ThreadPool pool(2);
   std::vector<SegmentPath> scalar;
@@ -51,6 +53,19 @@ TEST(GoldenCorpus, EveryEntryMatchesItsDigest) {
         << e.key << ": route_batch drifted from the scalar routes";
   });
   EXPECT_EQ(entries, digests.size()) << "digests.tsv lists stale entries";
+}
+
+TEST(GoldenCorpus, EverySimulationMatchesItsDigest) {
+  const auto digests = load_digests(OBLV_GOLDEN_SIM_DIGESTS);
+  ASSERT_FALSE(digests.empty()) << "cannot read " << OBLV_GOLDEN_SIM_DIGESTS;
+  const std::vector<golden::SimEntry> entries = golden::sim_entries();
+  for (const golden::SimEntry& e : entries) {
+    const auto it = digests.find(e.key);
+    ASSERT_NE(it, digests.end()) << "no digest for " << e.key;
+    EXPECT_EQ(e.line(), it->second);
+  }
+  EXPECT_EQ(entries.size(), digests.size())
+      << "sim_digests.tsv lists stale entries";
 }
 
 }  // namespace
