@@ -82,37 +82,9 @@ void EdgeLoadMap::add_path(const Path& path) {
   // costs O(d) instead of a full id->coord conversion per node.
   Coord cur = mesh_->coord(path.nodes.front());
   for (std::size_t i = 0; i + 1 < path.nodes.size(); ++i) {
-    const NodeId b = path.nodes[i + 1];
-    const std::int64_t delta = b - path.nodes[i];
-    bool matched = false;
-    for (int d = 0; d < mesh_->dim() && !matched; ++d) {
-      const std::size_t dd = static_cast<std::size_t>(d);
-      const std::int64_t side = mesh_->side(d);
-      const std::int64_t s = mesh_->node_stride(d);
-      if (delta == s && cur[dd] + 1 < side) {
-        // +1 step, keyed at the lower endpoint (current coordinate).
-        loads_[static_cast<std::size_t>(mesh_->edge_id(cur, d))]++;
-        cur[dd] += 1;
-        matched = true;
-      } else if (delta == -s && cur[dd] - 1 >= 0) {
-        cur[dd] -= 1;
-        loads_[static_cast<std::size_t>(mesh_->edge_id(cur, d))]++;
-        matched = true;
-      } else if (mesh_->torus() && side > 2 && cur[dd] == side - 1 &&
-                 delta == -s * (side - 1)) {
-        // Wrap +1: keyed at coordinate side-1.
-        loads_[static_cast<std::size_t>(mesh_->edge_id(cur, d))]++;
-        cur[dd] = 0;
-        matched = true;
-      } else if (mesh_->torus() && side > 2 && cur[dd] == 0 &&
-                 delta == s * (side - 1)) {
-        // Wrap -1: also keyed at coordinate side-1.
-        cur[dd] = side - 1;
-        loads_[static_cast<std::size_t>(mesh_->edge_id(cur, d))]++;
-        matched = true;
-      }
-    }
-    OBLV_REQUIRE(matched, "path hop is not a mesh edge");
+    const Mesh::Hop hop =
+        mesh_->decode_hop(cur, path.nodes[i + 1] - path.nodes[i]);
+    loads_[static_cast<std::size_t>(mesh_->hop_edge(cur, hop))]++;
   }
 }
 

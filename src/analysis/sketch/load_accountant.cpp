@@ -213,41 +213,11 @@ class SketchAccountant final : public LoadAccountant {
     // each hop is a length-1 range (one level-0 dyadic piece).
     Coord cur = mesh_->coord(path.nodes.front());
     for (std::size_t i = 0; i + 1 < path.nodes.size(); ++i) {
-      const std::int64_t delta = path.nodes[i + 1] - path.nodes[i];
-      bool matched = false;
-      for (int d = 0; d < mesh_->dim() && !matched; ++d) {
-        const std::size_t dd = static_cast<std::size_t>(d);
-        const std::int64_t side = mesh_->side(d);
-        const std::int64_t s = mesh_->node_stride(d);
-        std::int64_t pos = -1;
-        if (delta == s && cur[dd] + 1 < side) {
-          pos = cur[dd];
-          cur[dd] += 1;
-          matched = true;
-        } else if (delta == -s && cur[dd] - 1 >= 0) {
-          cur[dd] -= 1;
-          pos = cur[dd];
-          matched = true;
-        } else if (mesh_->torus() && side > 2 && cur[dd] == side - 1 &&
-                   delta == -s * (side - 1)) {
-          pos = cur[dd];
-          cur[dd] = 0;
-          matched = true;
-        } else if (mesh_->torus() && side > 2 && cur[dd] == 0 &&
-                   delta == s * (side - 1)) {
-          cur[dd] = side - 1;
-          pos = cur[dd];
-          matched = true;
-        }
-        if (matched) {
-          // Side-2 torus lines have a single edge keyed at position 0.
-          if (mesh_->torus() && side == 2) pos = 0;
-          const std::int64_t line = line_index(cur, d);
-          range_update(d, line, pos, pos + 1, 1);
-          ss_.add(line_key(d, line), 1);
-        }
-      }
-      OBLV_REQUIRE(matched, "path hop is not a mesh edge");
+      const Mesh::Hop hop =
+          mesh_->decode_hop(cur, path.nodes[i + 1] - path.nodes[i]);
+      const std::int64_t line = line_index(cur, hop.dim);
+      range_update(hop.dim, line, hop.lower, hop.lower + 1, 1);
+      ss_.add(line_key(hop.dim, line), 1);
     }
   }
 

@@ -39,6 +39,15 @@ Mesh::Mesh(std::vector<std::int64_t> sides, bool torus)
     edge_offsets_[d + 1] = edge_offsets_[d] + edges_in_dim;
   }
   num_edges_ = edge_offsets_.back();
+
+  const std::size_t dims = sides_.size();
+  edge_strides_.assign(dims * dims, 1);
+  for (std::size_t d = 0; d < dims; ++d) {
+    for (std::size_t i = dims - 1; i-- > 0;) {
+      const std::int64_t radix = (i + 1 == d) ? edge_dim_radix_[d] : sides_[i + 1];
+      edge_strides_[d * dims + i] = edge_strides_[d * dims + i + 1] * radix;
+    }
+  }
 }
 
 Mesh Mesh::cube(int dim, std::int64_t side, bool torus) {
@@ -129,21 +138,10 @@ std::vector<NodeId> Mesh::neighbors(NodeId u) const {
 }
 
 bool Mesh::adjacent(NodeId a, NodeId b) const {
-  if (a == b) return false;
-  const Coord ca = coord(a);
-  const Coord cb = coord(b);
-  int diff_dim = -1;
-  for (int d = 0; d < dim(); ++d) {
-    const std::size_t dd = static_cast<std::size_t>(d);
-    if (ca[dd] == cb[dd]) continue;
-    if (diff_dim != -1) return false;
-    diff_dim = d;
-  }
-  if (diff_dim == -1) return false;
-  const std::size_t dd = static_cast<std::size_t>(diff_dim);
-  const std::int64_t delta = std::abs(ca[dd] - cb[dd]);
-  if (delta == 1) return true;
-  return torus_ && sides_[dd] > 2 && delta == sides_[dd] - 1;
+  OBLV_REQUIRE(b >= 0 && b < num_nodes_, "node id out of range");
+  Coord cur = coord(a);
+  Hop hop;
+  return try_decode_hop(cur, b - a, hop);
 }
 
 std::int64_t Mesh::displacement(std::int64_t from, std::int64_t to, int d) const {
@@ -197,22 +195,11 @@ EdgeId Mesh::edge_id(const Coord& u, int d) const {
 }
 
 EdgeId Mesh::edge_between(NodeId a, NodeId b) const {
-  OBLV_REQUIRE(adjacent(a, b), "edge_between requires adjacent nodes");
-  Coord ca = coord(a);
-  const Coord cb = coord(b);
-  for (int d = 0; d < dim(); ++d) {
-    const std::size_t dd = static_cast<std::size_t>(d);
-    if (ca[dd] == cb[dd]) continue;
-    const std::int64_t lo = std::min(ca[dd], cb[dd]);
-    const std::int64_t hi = std::max(ca[dd], cb[dd]);
-    if (hi - lo == 1) {
-      ca[dd] = lo;  // edge keyed by its lower endpoint
-    } else {
-      ca[dd] = hi;  // wrap edge keyed by side-1
-    }
-    return edge_id(ca, d);
-  }
-  OBLV_UNREACHABLE("adjacent nodes with equal coordinates");
+  Coord cur = coord(a);
+  Hop hop;
+  OBLV_REQUIRE(try_decode_hop(cur, b - a, hop),
+               "edge_between requires adjacent nodes");
+  return hop_edge(cur, hop);
 }
 
 std::pair<NodeId, NodeId> Mesh::edge_endpoints(EdgeId e) const {

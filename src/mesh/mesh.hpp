@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "mesh/types.hpp"
+#include "util/check.hpp"
 
 namespace oblivious {
 
@@ -88,6 +89,51 @@ class Mesh {
   // Dimension an edge runs along.
   int edge_dim(EdgeId e) const;
 
+  // --- incremental walks ----------------------------------------------------
+  // One hop of a node path.
+  struct Hop {
+    int dim = 0;
+    int dir = 0;             // +1 or -1; the torus wrap side-1 -> 0 is +1
+    std::int64_t lower = 0;  // coordinate along `dim` of the endpoint the
+                             // edge is keyed at (side-1 for a wrap edge)
+  };
+  // Decodes the hop from the node at coordinate `cur` to the node `delta`
+  // ids away -- a +-1 step along one dimension, or a torus wrap -- and
+  // moves `cur` onto that node. Costs O(d), with no id->coord conversion.
+  // \pre `cur` is a valid coordinate; a hop that is not a mesh edge throws.
+  Hop decode_hop(Coord& cur, std::int64_t delta) const {
+    Hop hop;
+    OBLV_REQUIRE(try_decode_hop(cur, delta, hop), "path hop is not a mesh edge");
+    return hop;
+  }
+  // Edge crossed by `hop`; `cur` is the coordinate of either endpoint.
+  EdgeId hop_edge(const Coord& cur, const Hop& hop) const {
+    const std::size_t d = static_cast<std::size_t>(hop.dim);
+    const std::int64_t* strides = &edge_strides_[d * sides_.size()];
+    EdgeId e = edge_offsets_[d] + hop.lower * strides[d];
+    for (std::size_t i = 0; i < sides_.size(); ++i) {
+      if (i != d) e += cur[i] * strides[i];
+    }
+    return e;
+  }
+  // Moves `cur` (the coordinate of node `id`) one unit along dimension d
+  // in direction dir, wrapping on the torus, and returns the new node id:
+  // id +- stride, or -+(side-1) * stride across a wrap. Throws when the
+  // step leaves a non-torus mesh.
+  NodeId walk_step(Coord& cur, NodeId id, int d, int dir) const {
+    const std::size_t dd = static_cast<std::size_t>(d);
+    const std::int64_t side = sides_[dd];
+    std::int64_t next = cur[dd] + dir;
+    if (torus_) {
+      if (next < 0) next += side;
+      if (next >= side) next -= side;
+    }
+    OBLV_REQUIRE(next >= 0 && next < side, "unit step leaves the mesh");
+    const NodeId out = id + (next - cur[dd]) * node_strides_[dd];
+    cur[dd] = next;
+    return out;
+  }
+
   // --- submesh boundaries ----------------------------------------------------
   // Number of edges crossing the boundary of the region: out(M') in the
   // paper's notation (Section 2).
@@ -96,6 +142,40 @@ class Mesh {
   std::string describe() const;
 
  private:
+  // decode_hop without the throw: false when the hop is not a mesh edge.
+  bool try_decode_hop(Coord& cur, std::int64_t delta, Hop& hop) const {
+    for (std::size_t d = 0; d < sides_.size(); ++d) {
+      const std::int64_t side = sides_[d];
+      const std::int64_t s = node_strides_[d];
+      hop.dim = static_cast<int>(d);
+      if (delta == s && cur[d] + 1 < side) {
+        hop.dir = 1;
+        hop.lower = cur[d]++;
+        return true;
+      }
+      if (delta == -s && cur[d] - 1 >= 0) {
+        hop.dir = -1;
+        hop.lower = --cur[d];
+        return true;
+      }
+      if (torus_ && side > 2) {
+        if (cur[d] == side - 1 && delta == -s * (side - 1)) {
+          hop.dir = 1;  // wrap side-1 -> 0
+          hop.lower = side - 1;
+          cur[d] = 0;
+          return true;
+        }
+        if (cur[d] == 0 && delta == s * (side - 1)) {
+          hop.dir = -1;  // wrap 0 -> side-1
+          hop.lower = side - 1;
+          cur[d] = side - 1;
+          return true;
+        }
+      }
+    }
+    return false;
+  }
+
   std::vector<std::int64_t> sides_;
   bool torus_;
   NodeId num_nodes_ = 0;
@@ -109,6 +189,9 @@ class Mesh {
   // space where dimension d has radix side-1 (mesh) or side (torus).
   std::vector<EdgeId> edge_offsets_;
   std::vector<std::int64_t> edge_dim_radix_;  // side-1 or side, per dim
+  // edge_strides_[d * dim + i]: weight of coordinate i in the index of a
+  // dimension-d edge (the mixed radix above, row-major per d).
+  std::vector<std::int64_t> edge_strides_;
 };
 
 }  // namespace oblivious

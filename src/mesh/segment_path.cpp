@@ -16,33 +16,9 @@ SegmentPath segments_from_path(const Mesh& mesh, const Path& path) {
   if (path.nodes.size() < 2) return sp;
   Coord cur = mesh.coord(sp.source);
   for (std::size_t i = 0; i + 1 < path.nodes.size(); ++i) {
-    const std::int64_t delta = path.nodes[i + 1] - path.nodes[i];
-    bool matched = false;
-    for (int d = 0; d < mesh.dim() && !matched; ++d) {
-      const std::size_t dd = static_cast<std::size_t>(d);
-      const std::int64_t side = mesh.side(d);
-      const std::int64_t s = mesh.node_stride(d);
-      if (delta == s && cur[dd] + 1 < side) {
-        sp.append(d, 1);
-        cur[dd] += 1;
-        matched = true;
-      } else if (delta == -s && cur[dd] - 1 >= 0) {
-        sp.append(d, -1);
-        cur[dd] -= 1;
-        matched = true;
-      } else if (mesh.torus() && side > 2 && cur[dd] == side - 1 &&
-                 delta == -s * (side - 1)) {
-        sp.append(d, 1);  // wrap: side-1 -> 0 is a +1 step
-        cur[dd] = 0;
-        matched = true;
-      } else if (mesh.torus() && side > 2 && cur[dd] == 0 &&
-                 delta == s * (side - 1)) {
-        sp.append(d, -1);  // wrap: 0 -> side-1 is a -1 step
-        cur[dd] = side - 1;
-        matched = true;
-      }
-    }
-    OBLV_REQUIRE(matched, "path hop is not a mesh edge");
+    const Mesh::Hop hop =
+        mesh.decode_hop(cur, path.nodes[i + 1] - path.nodes[i]);
+    sp.append(hop.dim, hop.dir);
   }
   return sp;
 }
@@ -53,17 +29,15 @@ Path path_from_segments(const Mesh& mesh, const SegmentPath& sp) {
   path.nodes.reserve(static_cast<std::size_t>(sp.length()) + 1);
   path.nodes.push_back(sp.source);
   Coord cur = mesh.coord(sp.source);
+  NodeId id = sp.source;
   for (const Segment& seg : sp.segments) {
-    const int d = seg.dim;
-    const std::size_t dd = static_cast<std::size_t>(d);
+    OBLV_REQUIRE(seg.dim >= 0 && seg.dim < mesh.dim(),
+                 "segment dimension out of range");
     const int dir = seg.run > 0 ? 1 : -1;
     const std::int64_t steps = std::abs(seg.run);
     for (std::int64_t i = 0; i < steps; ++i) {
-      cur[dd] += dir;
-      if (mesh.torus()) cur[dd] = pos_mod(cur[dd], mesh.side(d));
-      OBLV_REQUIRE(cur[dd] >= 0 && cur[dd] < mesh.side(d),
-                   "segment run leaves the mesh");
-      path.nodes.push_back(mesh.node_id(cur));
+      id = mesh.walk_step(cur, id, seg.dim, dir);
+      path.nodes.push_back(id);
     }
   }
   OBLV_REQUIRE(path.nodes.back() == sp.dest,

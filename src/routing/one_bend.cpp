@@ -2,25 +2,21 @@
 
 #include <cstdlib>
 
-#include "util/bits.hpp"
 #include "util/check.hpp"
-#include "util/contracts.hpp"
 
 namespace oblivious {
 
 namespace {
 
 // Walks `steps` unit moves along dimension d in direction dir, appending
-// each visited node. `cur` is updated in place and kept canonical.
+// each visited node. `cur` is updated in place and kept canonical; the
+// path's last node is cur's id, so each hop advances the id by a stride.
 void walk(const Mesh& mesh, Coord& cur, int d, int dir, std::int64_t steps,
           Path& path) {
-  const std::size_t dd = static_cast<std::size_t>(d);
+  NodeId id = path.nodes.back();
   for (std::int64_t i = 0; i < steps; ++i) {
-    cur[dd] += dir;
-    if (mesh.torus()) cur[dd] = pos_mod(cur[dd], mesh.side(d));
-    OBLV_DCHECK(cur[dd] >= 0 && cur[dd] < mesh.side(d),
-                "dimension-order walk left the mesh");
-    path.nodes.push_back(mesh.node_id(cur));
+    id = mesh.walk_step(cur, id, d, dir);
+    path.nodes.push_back(id);
   }
 }
 

@@ -2,9 +2,7 @@
 
 #include <cstdlib>
 
-#include "util/bits.hpp"
 #include "util/check.hpp"
-#include "util/contracts.hpp"
 
 namespace oblivious {
 
@@ -43,11 +41,7 @@ void RandomStaircaseRouter::route_into(NodeId s, NodeId t, Rng& rng,
     }
     const std::size_t dd = static_cast<std::size_t>(dim);
     const int dir = remaining[dd] > 0 ? 1 : -1;
-    cur[dd] += dir;
-    if (mesh_->torus()) cur[dd] = pos_mod(cur[dd], mesh_->side(dim));
-    OBLV_DCHECK(cur[dd] >= 0 && cur[dd] < mesh_->side(dim),
-                "staircase walk left the mesh");
-    out.nodes.push_back(mesh_->node_id(cur));
+    out.nodes.push_back(mesh_->walk_step(cur, out.nodes.back(), dim, dir));
     remaining[dd] -= dir;
     --total;
   }

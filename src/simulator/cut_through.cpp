@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <memory>
-#include <unordered_map>
 
 #include "analysis/congestion.hpp"
 #include "mesh/contracts.hpp"
 #include "obs/metrics.hpp"
 #include "rng/rng.hpp"
 #include "routing/route_scratch.hpp"
+#include "simulator/arbitration.hpp"
 #include "util/check.hpp"
 #include "util/contracts.hpp"
 
@@ -38,27 +38,16 @@ CutThroughResult simulate_cut_through(const Mesh& mesh,
   const bool faulty =
       options.faults != nullptr && !options.faults->fault_free();
 
-  // Edge (and direction) sequences plus path-set metrics.
-  std::vector<std::vector<EdgeId>> keys(paths.size());
+  // Path-set metrics. Accounting walks every hop, so a path with a
+  // non-edge hop is rejected here, before the first step.
   const std::unique_ptr<LoadAccountant> loads = LoadAccountant::create(
       mesh, options.accounting.mode, options.accounting.sketch);
   std::int64_t total_hops = 0;
-  for (std::size_t i = 0; i < paths.size(); ++i) {
-    const Path& p = paths[i];
+  for (const Path& p : paths) {
     OBLV_REQUIRE(!p.nodes.empty(), "simulation requires non-empty paths");
     OBLV_EXPECTS(contracts::validate_path_in_mesh(mesh, p),
                  "cut-through simulation needs paths that follow mesh edges");
     loads->add_path(p);
-    keys[i].reserve(static_cast<std::size_t>(p.length()));
-    for (std::size_t j = 0; j + 1 < p.nodes.size(); ++j) {
-      const EdgeId e = mesh.edge_between(p.nodes[j], p.nodes[j + 1]);
-      if (options.full_duplex) {
-        const auto [a, b] = mesh.edge_endpoints(e);
-        keys[i].push_back(2 * e + (p.nodes[j] == a ? 0 : 1));
-      } else {
-        keys[i].push_back(e);
-      }
-    }
     total_hops += p.length();
     result.dilation = std::max(result.dilation, p.length());
   }
@@ -74,139 +63,119 @@ CutThroughResult simulate_cut_through(const Mesh& mesh,
           : (faulty ? 4 * fault_free_budget + 1024 : fault_free_budget);
 
   struct PacketState {
-    std::size_t hop = 0;       // next link index
+    HopCursor cursor;
     std::int64_t ready = 1;    // earliest step the head can cross again
     std::uint64_t rank = 0;
     int retries = 0;           // fault requeues consumed
     std::int64_t wait_until = 0;  // backoff: head idles until this step
   };
 
-  // Mutable node sequences, needed only when a reroute can rewrite a
-  // packet's remaining path.
-  std::vector<std::vector<NodeId>> cur_nodes;
-  if (faulty) {
-    cur_nodes.resize(paths.size());
-    for (std::size_t i = 0; i < paths.size(); ++i) {
-      cur_nodes[i] = paths[i].nodes;
-    }
-  }
-  const auto edge_of = [&](EdgeId key) {
-    return options.full_duplex ? key / 2 : key;
+  // A re-routed packet follows its own node sequence from then on; the
+  // others keep walking their input path.
+  std::vector<std::vector<NodeId>> rerouted(
+      options.reroute_router != nullptr && faulty ? paths.size() : 0);
+  const auto nodes_of = [&](std::size_t i) -> const std::vector<NodeId>& {
+    return rerouted.empty() || rerouted[i].empty() ? paths[i].nodes
+                                                   : rerouted[i];
   };
 
   Rng rng(options.seed);
   RouteScratch scratch;
   std::vector<PacketState> state(paths.size());
   std::vector<std::size_t> active;
+  active.reserve(paths.size());
   for (std::size_t i = 0; i < paths.size(); ++i) {
     state[i].rank = rng.next_u64();
-    if (keys[i].empty()) {
+    state[i].cursor.reset(mesh, paths[i].nodes, options.full_duplex);
+    if (state[i].cursor.done()) {
       result.latency.add(static_cast<double>(F - 1));  // tail drains locally
       ++result.delivered;
     } else {
       active.push_back(i);
     }
   }
-
-  // A link streams one packet's F flits at a time: busy through this step.
-  std::unordered_map<EdgeId, std::int64_t> busy_until;
-
-  const auto wins = [&](std::size_t a, std::size_t b) {
-    switch (options.policy) {
-      case SchedulingPolicy::kFifo:
-        if (state[a].ready != state[b].ready) return state[a].ready < state[b].ready;
-        return a < b;
-      case SchedulingPolicy::kFurthestToGo: {
-        const auto ra = static_cast<std::int64_t>(keys[a].size() - state[a].hop);
-        const auto rb = static_cast<std::int64_t>(keys[b].size() - state[b].hop);
-        if (ra != rb) return ra > rb;
-        return a < b;
-      }
-      case SchedulingPolicy::kRandomRank:
-        if (state[a].rank != state[b].rank) return state[a].rank < state[b].rank;
-        return a < b;
-    }
-    OBLV_UNREACHABLE("unknown policy");
+  const auto deliver = [&](std::int64_t tail_arrival) {
+    result.latency.add(static_cast<double>(tail_arrival));
+    result.makespan = std::max(result.makespan, tail_arrival);
+    ++result.delivered;
   };
 
-  std::unordered_map<EdgeId, std::size_t> winner;
+  // A link streams one packet's F flits at a time: busy through this step.
+  const std::size_t keys = arbitration_keys(mesh, options.full_duplex);
+  std::vector<std::int64_t> busy_until(keys, 0);
+  LinkArbiter arbiter(keys);
+  std::vector<std::size_t> still_active;
+  still_active.reserve(active.size());
   std::int64_t step = 0;
   while (!active.empty() && step < max_steps) {
     ++step;
-    winner.clear();
     for (const std::size_t i : active) {
-      if (state[i].ready > step || state[i].wait_until > step) continue;
-      const EdgeId key = keys[i][state[i].hop];
+      const PacketState& st = state[i];
+      if (st.ready > step || st.wait_until > step) continue;
+      const std::int64_t key = st.cursor.key();
       // A failed link refuses the head flit; the packet requeues below.
-      if (faulty && options.faults->edge_failed(edge_of(key), step)) continue;
-      const auto busy = busy_until.find(key);
-      if (busy != busy_until.end() && busy->second >= step) continue;
-      const auto it = winner.find(key);
-      if (it == winner.end() || wins(i, it->second)) winner[key] = i;
+      if (faulty && options.faults->edge_failed(st.cursor.edge(), step)) {
+        continue;
+      }
+      if (busy_until[static_cast<std::size_t>(key)] >= step) continue;
+      arbiter.offer({key, i,
+                     arbitration_priority(options.policy, st.ready,
+                                          st.cursor.remaining(), st.rank)},
+                    step);
     }
-    std::vector<std::size_t> still_active;
-    still_active.reserve(active.size());
+    still_active.clear();
     for (const std::size_t i : active) {
-      const EdgeId key = keys[i][state[i].hop];
-      if (faulty && state[i].ready <= step && state[i].wait_until <= step &&
-          options.faults->edge_failed(edge_of(key), step)) {
+      PacketState& st = state[i];
+      const bool idle = st.ready > step || st.wait_until > step;
+      if (faulty && !idle &&
+          options.faults->edge_failed(st.cursor.edge(), step)) {
         // Requeue with backoff, or drop once the budget is spent -- the
         // packet always leaves the network counted.
-        if (state[i].retries >= options.retry.max_attempts) {
+        if (st.retries >= options.retry.max_attempts) {
           ++result.dropped;
           OBLV_COUNTER_ADD("fault.drops", 1);
           continue;
         }
-        ++state[i].retries;
+        if (options.reroute_router != nullptr &&
+            st.cursor.at() == nodes_of(i).back()) {
+          // The path passes through its destination before it ends and
+          // the head sits there: a re-route has nothing left to cover.
+          deliver(step + F - 1);
+          continue;
+        }
+        ++st.retries;
         const std::int64_t backoff = options.retry.backoff_base
-                                     << std::min(state[i].retries - 1, 32);
+                                     << std::min(st.retries - 1, 32);
         OBLV_COUNTER_ADD("fault.retries", 1);
         OBLV_COUNTER_ADD("fault.backoff_steps",
                          static_cast<std::uint64_t>(backoff));
-        state[i].wait_until = step + backoff;
+        st.wait_until = step + backoff;
         if (options.reroute_router != nullptr) {
           // Fresh random bits from the node the head is stuck at.
-          const NodeId at = cur_nodes[i][state[i].hop];
-          const NodeId dst = cur_nodes[i].back();
-          options.reroute_router->route_into(at, dst, rng, scratch,
+          options.reroute_router->route_into(st.cursor.at(),
+                                             nodes_of(i).back(), rng, scratch,
                                              scratch.path);
-          cur_nodes[i] = scratch.path.nodes;
-          keys[i].clear();
-          for (std::size_t j = 0; j + 1 < cur_nodes[i].size(); ++j) {
-            const EdgeId e =
-                mesh.edge_between(cur_nodes[i][j], cur_nodes[i][j + 1]);
-            if (options.full_duplex) {
-              const auto [a, b] = mesh.edge_endpoints(e);
-              keys[i].push_back(2 * e + (cur_nodes[i][j] == a ? 0 : 1));
-            } else {
-              keys[i].push_back(e);
-            }
-          }
-          state[i].hop = 0;
+          rerouted[i] = scratch.path.nodes;
+          st.cursor.reset(mesh, rerouted[i], options.full_duplex);
         }
         still_active.push_back(i);
         continue;
       }
-      const auto it = winner.find(key);
-      if (it == winner.end() || it->second != i || state[i].ready > step ||
-          state[i].wait_until > step) {
+      if (idle || !arbiter.won(st.cursor.key(), i, step)) {
         still_active.push_back(i);
         continue;
       }
       // The head crosses at this step; the link streams flits behind it.
-      busy_until[key] = step + F - 1;
-      ++state[i].hop;
-      state[i].ready = step + 1;
-      if (state[i].hop == keys[i].size()) {
-        const std::int64_t tail_arrival = step + F - 1;
-        result.latency.add(static_cast<double>(tail_arrival));
-        result.makespan = std::max(result.makespan, tail_arrival);
-        ++result.delivered;
+      busy_until[static_cast<std::size_t>(st.cursor.key())] = step + F - 1;
+      st.cursor.advance(mesh, nodes_of(i));
+      st.ready = step + 1;
+      if (st.cursor.done()) {
+        deliver(step + F - 1);
       } else {
         still_active.push_back(i);
       }
     }
-    active = std::move(still_active);
+    active.swap(still_active);
   }
 
   result.completed = active.empty();

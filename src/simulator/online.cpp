@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <limits>
-#include <unordered_map>
 
 #include "obs/metrics.hpp"
+#include "simulator/arbitration.hpp"
 #include "util/bits.hpp"
 #include "util/check.hpp"
 #include "util/contracts.hpp"
@@ -98,13 +98,11 @@ OnlineResult simulate_online(const Mesh& mesh, const Router& router,
                             : std::max<std::int64_t>(64 * workload.horizon, 4096);
 
   struct Flight {
-    std::vector<EdgeId> edges;
-    std::size_t hop = 0;
+    std::vector<NodeId> nodes;  // released once the packet leaves
+    HopCursor cursor;
     std::int64_t injected_at = 0;
     std::int64_t arrival = 0;   // step it reached its current node
     std::uint64_t rank = 0;
-    NodeId at = 0;              // current node (for queue accounting)
-    NodeId dst = 0;             // destination (for fault re-routing)
     int retries = 0;            // in-flight requeues consumed
     std::int64_t wait_until = 0;  // backoff: idle until this step
   };
@@ -114,39 +112,32 @@ OnlineResult simulate_online(const Mesh& mesh, const Router& router,
   Rng rng(options.seed);
   // One scratch for the whole simulation: path selection in the injection
   // loop reuses its buffers, so steady-state injections allocate only the
-  // flight's own edge list.
+  // flight's own node list.
   RouteScratch scratch;
   std::vector<Flight> flights;
   flights.reserve(workload.packets.size());
   std::vector<std::size_t> active;
+  std::vector<std::size_t> still_active;
   std::size_t next_packet = 0;
 
-  const auto wins = [&](const Flight& a, const Flight& b, std::size_t ia,
-                        std::size_t ib) {
-    switch (options.policy) {
-      case SchedulingPolicy::kFifo:
-        if (a.arrival != b.arrival) return a.arrival < b.arrival;
-        return ia < ib;
-      case SchedulingPolicy::kFurthestToGo: {
-        const auto ra = static_cast<std::int64_t>(a.edges.size() - a.hop);
-        const auto rb = static_cast<std::int64_t>(b.edges.size() - b.hop);
-        if (ra != rb) return ra > rb;
-        return ia < ib;
-      }
-      case SchedulingPolicy::kRandomRank:
-        if (a.rank != b.rank) return a.rank < b.rank;
-        return ia < ib;
-    }
-    OBLV_UNREACHABLE("unknown policy");
+  // Per-step node occupancy, stamped like the link arbiter's slots.
+  struct NodeCount {
+    std::int64_t stamp = 0;
+    std::int64_t count = 0;
   };
-
-  std::unordered_map<EdgeId, std::size_t> winner;
-  std::unordered_map<NodeId, std::int64_t> occupancy;
+  std::vector<NodeCount> occupancy(static_cast<std::size_t>(mesh.num_nodes()));
+  LinkArbiter arbiter(arbitration_keys(mesh, /*full_duplex=*/false));
   const std::int64_t saturation_limit =
       options.saturation_queue_per_node > 0
           ? options.saturation_queue_per_node * mesh.num_nodes()
           : std::numeric_limits<std::int64_t>::max();
   std::int64_t step = 0;
+  const auto deliver = [&](Flight& f) {
+    ++result.delivered;
+    result.latency.add(static_cast<double>(step - f.injected_at));
+    result.last_delivery = std::max(result.last_delivery, step);
+    std::vector<NodeId>().swap(f.nodes);
+  };
   while ((next_packet < workload.packets.size() || !active.empty()) &&
          step < max_steps &&
          static_cast<std::int64_t>(active.size()) < saturation_limit) {
@@ -177,20 +168,15 @@ OnlineResult simulate_online(const Mesh& mesh, const Router& router,
       } else {
         router.route_into(demand.src, demand.dst, rng, scratch, scratch.path);
       }
-      const Path& path = scratch.path;
-      flight.edges.reserve(static_cast<std::size_t>(path.length()));
-      for (std::size_t j = 0; j + 1 < path.nodes.size(); ++j) {
-        flight.edges.push_back(mesh.edge_between(path.nodes[j], path.nodes[j + 1]));
-      }
       flight.injected_at = demand.inject_step;
       flight.arrival = step;
       flight.rank = rng.next_u64();
-      flight.at = demand.src;
-      flight.dst = demand.dst;
-      if (flight.edges.empty()) {
+      if (scratch.path.length() == 0) {
         ++result.delivered;
         result.latency.add(0.0);
       } else {
+        flight.nodes = scratch.path.nodes;
+        flight.cursor.reset(mesh, flight.nodes, /*full_duplex=*/false);
         flights.push_back(std::move(flight));
         active.push_back(flights.size() - 1);
       }
@@ -198,37 +184,43 @@ OnlineResult simulate_online(const Mesh& mesh, const Router& router,
     }
 
     ++step;
-    winner.clear();
-    occupancy.clear();
     for (const std::size_t i : active) {
       const Flight& f = flights[i];
-      result.max_node_queue = std::max(result.max_node_queue, ++occupancy[f.at]);
+      NodeCount& at = occupancy[static_cast<std::size_t>(f.cursor.at())];
+      if (at.stamp != step) at = {step, 0};
+      result.max_node_queue = std::max(result.max_node_queue, ++at.count);
       // Backed-off and blocked-by-fault packets occupy their queue slot
       // but do not compete for an edge this step.
       if (f.wait_until > step) continue;
-      const EdgeId e = f.edges[f.hop];
-      if (faulty && options.faults->edge_failed(e, step)) continue;
-      const auto it = winner.find(e);
-      if (it == winner.end() || wins(f, flights[it->second], i, it->second)) {
-        winner[e] = i;
+      if (faulty && options.faults->edge_failed(f.cursor.edge(), step)) {
+        continue;
       }
+      arbiter.offer({f.cursor.key(), i,
+                     arbitration_priority(options.policy, f.arrival,
+                                          f.cursor.remaining(), f.rank)},
+                    step);
     }
-    std::vector<std::size_t> still_active;
-    still_active.reserve(active.size());
+    still_active.clear();
     for (const std::size_t i : active) {
       Flight& f = flights[i];
       if (f.wait_until > step) {
         still_active.push_back(i);
         continue;
       }
-      const EdgeId e = f.edges[f.hop];
-      if (faulty && options.faults->edge_failed(e, step)) {
+      if (faulty && options.faults->edge_failed(f.cursor.edge(), step)) {
         // The edge ahead died under the packet: requeue with fresh random
         // bits from the node it is stuck at, or drop once the budget is
         // spent -- the packet always leaves the network counted.
         if (f.retries >= options.retry.max_attempts) {
           ++result.dropped;
           OBLV_COUNTER_ADD("fault.drops", 1);
+          std::vector<NodeId>().swap(f.nodes);
+          continue;
+        }
+        if (f.cursor.at() == f.nodes.back()) {
+          // The path passes through its destination before it ends and
+          // the packet sits there: a re-route has nothing left to cover.
+          deliver(f);
           continue;
         }
         ++f.retries;
@@ -238,34 +230,27 @@ OnlineResult simulate_online(const Mesh& mesh, const Router& router,
         OBLV_COUNTER_ADD("fault.backoff_steps",
                          static_cast<std::uint64_t>(backoff));
         f.wait_until = step + backoff;
-        router.route_into(f.at, f.dst, rng, scratch, scratch.path);
-        f.edges.clear();
-        for (std::size_t j = 0; j + 1 < scratch.path.nodes.size(); ++j) {
-          f.edges.push_back(mesh.edge_between(scratch.path.nodes[j],
-                                              scratch.path.nodes[j + 1]));
-        }
-        f.hop = 0;
+        router.route_into(f.cursor.at(), f.nodes.back(), rng, scratch,
+                          scratch.path);
+        f.nodes = scratch.path.nodes;
+        f.cursor.reset(mesh, f.nodes, /*full_duplex=*/false);
         f.arrival = step;
         still_active.push_back(i);
         continue;
       }
-      if (winner[e] != i) {
+      if (!arbiter.won(f.cursor.key(), i, step)) {
         still_active.push_back(i);
         continue;
       }
-      const auto [a, b] = mesh.edge_endpoints(e);
-      f.at = (f.at == a) ? b : a;
-      ++f.hop;
+      f.cursor.advance(mesh, f.nodes);
       f.arrival = step;
-      if (f.hop == f.edges.size()) {
-        ++result.delivered;
-        result.latency.add(static_cast<double>(step - f.injected_at));
-        result.last_delivery = std::max(result.last_delivery, step);
+      if (f.cursor.done()) {
+        deliver(f);
       } else {
         still_active.push_back(i);
       }
     }
-    active = std::move(still_active);
+    active.swap(still_active);
   }
 
   result.completed = active.empty() && next_packet == workload.packets.size();

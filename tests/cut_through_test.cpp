@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "fault/fault_model.hpp"
 #include "routing/registry.hpp"
 #include "simulator/cut_through.hpp"
 #include "test_support.hpp"
@@ -117,6 +118,27 @@ TEST(CutThrough, LargerPacketsNeverFinishFaster) {
     EXPECT_GE(r.makespan, previous);
     previous = r.makespan;
   }
+}
+
+TEST(CutThrough, RerouteAtDestinationDelivers) {
+  // The path passes its destination (node 1) before it ends, and the link
+  // it takes next is dead: re-routing from the destination to itself has
+  // nothing left to cover, so the packet is delivered there.
+  const Mesh m({8});
+  FaultConfig config;
+  config.failed_edges = {m.edge_between(1, 2)};
+  const FaultModel faults(m, config);
+  const auto router = make_router(Algorithm::kEcube, m);
+  CutThroughOptions options;
+  options.flits_per_packet = 2;
+  options.faults = &faults;
+  options.reroute_router = router.get();
+  const CutThroughResult r =
+      simulate_cut_through(m, {make_path({0, 1, 2, 1})}, options);
+  EXPECT_TRUE(r.completed);
+  EXPECT_EQ(r.delivered, 1);
+  EXPECT_EQ(r.dropped, 0);
+  EXPECT_EQ(r.makespan, 2 + 2 - 1);  // head stuck at step 2, F = 2
 }
 
 }  // namespace

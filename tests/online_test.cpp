@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "fault/fault_model.hpp"
 #include "routing/registry.hpp"
 #include "simulator/online.hpp"
 
@@ -164,6 +165,57 @@ TEST(OnlineSimulation, PoliciesAllComplete) {
     const OnlineResult r = simulate_online(mesh, *router, w, options);
     EXPECT_TRUE(r.completed) << policy_name(policy);
   }
+}
+
+// Routes 0 -> 1 on a line over 0, 1, 2, 1, passing the destination before
+// the path ends; any other pair goes straight.
+class DetourRouter final : public Router {
+ public:
+  using Router::Router;
+  Path route(NodeId s, NodeId t, Rng& /*rng*/) const override {
+    Path p;
+    if (s == 0 && t == 1) {
+      p.nodes = {0, 1, 2, 1};
+      return p;
+    }
+    for (NodeId u = s; u != t; u += (t > u ? 1 : -1)) p.nodes.push_back(u);
+    p.nodes.push_back(t);
+    return p;
+  }
+  std::string name() const override { return "detour"; }
+};
+
+TEST(OnlineSimulation, RerouteAtDestinationDelivers) {
+  // Find a fault schedule in which the detour is clean at injection and
+  // on its first hop, and link 1-2 is down when the packet reaches node 1
+  // at step 1: the packet sits at its destination when its next link dies.
+  const Mesh mesh({8});
+  const EdgeId first = mesh.edge_between(0, 1);
+  const EdgeId second = mesh.edge_between(1, 2);
+  FaultConfig config;
+  config.edge_fail_prob = 0.3;
+  config.edge_repair_prob = 0.3;
+  config.horizon = 16;
+  bool found = false;
+  for (config.seed = 1; config.seed < 5000 && !found; ++config.seed) {
+    const FaultModel f(mesh, config);
+    found = !f.edge_failed(first, 0) && !f.edge_failed(second, 0) &&
+            !f.edge_failed(first, 1) && f.edge_failed(second, 2);
+  }
+  ASSERT_TRUE(found);
+  --config.seed;
+  const FaultModel faults(mesh, config);
+  const DetourRouter router(mesh);
+  OnlineWorkload w;
+  w.horizon = 1;
+  w.packets = {{0, 1, 0}};
+  OnlineOptions options;
+  options.faults = &faults;
+  const OnlineResult r = simulate_online(mesh, router, w, options);
+  EXPECT_TRUE(r.completed);
+  EXPECT_EQ(r.delivered, 1);
+  EXPECT_EQ(r.dropped, 0);
+  EXPECT_EQ(r.last_delivery, 2);
 }
 
 }  // namespace
