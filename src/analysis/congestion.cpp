@@ -72,8 +72,9 @@ EdgeLoadMap::EdgeLoadMap(const Mesh& mesh)
 }
 
 void EdgeLoadMap::add_path(const Path& path) {
-  // Hop validity is enforced by the always-on per-hop OBLV_REQUIRE below;
-  // no gated precondition here so the thrown type is build-independent.
+  // Hop validity is enforced by Mesh::decode_hop's always-on per-hop
+  // check; no gated precondition here so the thrown type is
+  // build-independent.
   ++paths_added_;
   if (path.nodes.size() < 2) return;
   edge_charges_ += static_cast<std::uint64_t>(path.length());

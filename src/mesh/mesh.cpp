@@ -184,14 +184,10 @@ EdgeId Mesh::edge_id(const Coord& u, int d) const {
   OBLV_REQUIRE(u.size() == sides_.size(), "coordinate dimension mismatch");
   OBLV_REQUIRE(u[dd] >= 0 && u[dd] < edge_dim_radix_[dd],
                "no +edge from this coordinate in this dimension");
-  // Mixed-radix index with radix edge_dim_radix_[d] in dimension d.
-  EdgeId idx = 0;
   for (std::size_t i = 0; i < sides_.size(); ++i) {
-    const std::int64_t radix = (i == dd) ? edge_dim_radix_[i] : sides_[i];
     OBLV_REQUIRE(u[i] >= 0 && u[i] < sides_[i], "coordinate out of range");
-    idx = idx * radix + u[i];
   }
-  return edge_offsets_[dd] + idx;
+  return hop_edge(u, Hop{d, 1, u[dd]});
 }
 
 EdgeId Mesh::edge_between(NodeId a, NodeId b) const {
