@@ -14,7 +14,10 @@
 //   * D        -- the longest routed path (hops),
 //   * stretch  -- the largest hops / distance over packets with s != t,
 //   * rng_hash -- a hash over the next word of every packet's rng after
-//                 routing, which pins the number of draws.
+//                 routing, which pins the number of draws,
+//   * node_hash -- a hash over every packet's route_into node list, routed
+//                 again from a fresh packet_rng(seed, i), and the next word
+//                 of that rng: it pins the node-list form and its draws.
 // golden_dump prints the entries; tests/golden/regenerate.sh rewrites
 // tests/golden/digests.tsv from it, and golden_test fails on any drift.
 #pragma once
@@ -28,6 +31,7 @@
 
 #include "analysis/congestion.hpp"
 #include "mesh/mesh.hpp"
+#include "mesh/path.hpp"
 #include "mesh/segment_path.hpp"
 #include "parallel/route_batch.hpp"
 #include "rng/rng.hpp"
@@ -86,6 +90,11 @@ inline std::uint64_t hash_path(std::uint64_t h, const SegmentPath& sp) {
   return mix(h, sp.segments.size());
 }
 
+inline std::uint64_t hash_path(std::uint64_t h, const Path& p) {
+  for (const NodeId v : p.nodes) h = mix(h, static_cast<std::uint64_t>(v));
+  return mix(h, p.nodes.size());
+}
+
 inline std::uint64_t hash_paths(const std::vector<SegmentPath>& paths) {
   std::uint64_t h = 0;
   for (const SegmentPath& sp : paths) h = hash_path(h, sp);
@@ -100,14 +109,15 @@ struct Entry {
   std::int64_t dilation = 0;
   double max_stretch = 0.0;
   std::uint64_t rng_hash = 0;
+  std::uint64_t node_hash = 0;
 
   std::string line() const {
     char buf[256];
     std::snprintf(buf, sizeof(buf),
                   "%s\t%zu\t%016" PRIx64 "\t%" PRIu32 "\t%" PRId64
-                  "\t%.9f\t%016" PRIx64,
+                  "\t%.9f\t%016" PRIx64 "\t%016" PRIx64,
                   key.c_str(), packets, seg_hash, congestion, dilation,
-                  max_stretch, rng_hash);
+                  max_stretch, rng_hash, node_hash);
     return buf;
   }
 };
@@ -125,12 +135,17 @@ inline Entry route_entry(Algorithm algorithm, const MeshCase& mc,
   e.packets = demands.size();
   paths.assign(demands.size(), SegmentPath{});
   RouteScratch scratch;
+  Path nodes;
   EdgeLoadMap loads(mc.mesh);
   for (std::size_t i = 0; i < demands.size(); ++i) {
     Rng rng = packet_rng(seed, i);
     router->route_segments_into(demands[i].src, demands[i].dst, rng, scratch,
                                 paths[i]);
     e.rng_hash = mix(e.rng_hash, rng.next_u64());
+    Rng node_rng = packet_rng(seed, i);
+    router->route_into(demands[i].src, demands[i].dst, node_rng, scratch,
+                       nodes);
+    e.node_hash = mix(hash_path(e.node_hash, nodes), node_rng.next_u64());
     loads.add_segments(paths[i]);
     const std::int64_t hops = paths[i].length();
     e.dilation = std::max(e.dilation, hops);

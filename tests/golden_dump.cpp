@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   }
   std::vector<SegmentPath> paths;
   std::printf("# algorithm mesh workload seed\tpackets\tseg_hash\tC\tD\t"
-              "max_stretch\trng_hash\n");
+              "max_stretch\trng_hash\tnode_hash\n");
   golden::for_each_case([&](Algorithm algorithm, const golden::MeshCase& mc,
                             const golden::WorkloadCase& wc,
                             std::uint64_t seed) {
