@@ -38,8 +38,10 @@ class DiagonalAncestorRouter final : public Router {
  public:
   explicit DiagonalAncestorRouter(const Mesh& mesh)
       : Router(mesh), inner_(mesh, AncestorRouter::Hierarchy::kAccessGraph) {}
-  Path route(NodeId s, NodeId t, Rng& rng) const override {
-    return inner_.route(s, t, rng);
+  void route_segments_into(NodeId s, NodeId t, Rng& rng,
+                           RouteScratch& scratch,
+                           SegmentPath& out) const override {
+    inner_.route_segments_into(s, t, rng, scratch, out);
   }
   std::string name() const override { return "diagonal-ablation"; }
 

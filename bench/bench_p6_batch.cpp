@@ -6,8 +6,8 @@
 //     than the allocating route_segments twin (which pays a fresh scratch
 //     + output buffer per packet); its time is also gated absolutely;
 //   * batch:   route_batch over a thread pool scales the sequential
-//     throughput near-linearly (recorded as gauges; not CI-gated because
-//     the smoke runners have two cores).
+//     throughput near-linearly (recorded as gauges; only the one-thread
+//     time is CI-gated, because the smoke runners have two cores).
 // The workload repeats 100k packets over a fixed pool of distinct pairs:
 // repeated-pair traffic, a labelled best case. Both arms run after a
 // warm-up pass, so buffers are at steady state. Per-arm minima over
@@ -140,8 +140,8 @@ void report_config(const std::string& tag, const Router& router,
   gauge("scratch_warm_best_seconds", scratch_best);
   gauge("scratch_vs_alloc_ratio", scratch_best / alloc_best);
 
-  // Thread sweep through the batch driver. Recorded, not gated: smoke
-  // runners have two cores.
+  // Thread sweep through the batch driver. Only the one-thread time is
+  // gated: smoke runners have two cores.
   std::vector<SegmentPath> out;
   for (const std::size_t threads : {1, 2, 4, 8}) {
     ThreadPool pool(threads);

@@ -266,8 +266,6 @@ RouteSetMetrics route_and_measure_parallel(
       if (per_block_fold) shard->clear();
       for (std::size_t i = begin; i < end; ++i) {
         const Demand& demand = problem.demands[i];
-        // oblv-lint: allow(D006) this loop interleaves load accumulation
-        // and metering per packet, which the SoA engine does not model
         Rng rng = packet_rng(seed, i);
         router.route_segments_into(demand.src, demand.dst, rng, scratch,
                                    paths[i]);

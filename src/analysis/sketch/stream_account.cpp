@@ -65,8 +65,6 @@ StreamAccountResult route_and_account(const Router& router,
       charged = true;
       for (std::size_t i = begin; i < end; ++i) {
         const Demand d = source.demand(i);
-        // oblv-lint: allow(D006) counter-derived per-packet stream -- the
-        // shared packet_rng(seed, i) scheme of every parallel driver.
         Rng rng = packet_rng(options.seed, i);
         router.route_segments_into(d.src, d.dst, rng, scratch, sp);
         shard->add_segments(sp);

@@ -13,7 +13,7 @@
 //                         its own connection
 //   batch worker          dequeues fair-share chunks and feeds each
 //                         request's demands through route_batch (the
-//                         zero-alloc/SoA engines), so concurrent small
+//                         zero-alloc scalar loop), so concurrent small
 //                         requests coalesce into one scheduling quantum
 //   routing pool          route_batch's workers
 //

@@ -66,8 +66,6 @@ FaultBatchStats run_fault_batch(const FaultAwareRouter& router,
       if (begin >= n) break;
       const std::size_t end = std::min(n, begin + chunk);
       for (std::size_t i = begin; i < end; ++i) {
-        // oblv-lint: allow(D006) retry/backoff makes the draw count
-        // data-dependent, so fault routing cannot share a lane program
         Rng rng = packet_rng(options.seed, i);
         const FaultRouteOutcome outcome =
             route_one(router, demands[i], rng, scratch, out[i]);

@@ -83,8 +83,6 @@ FaultModel::FaultModel(const Mesh& mesh, const FaultConfig& config)
     const std::uint64_t initial_cut =
         p + r > 0.0 ? threshold32(p / (p + r)) : 0;
     for (std::size_t e = 0; e < num_edges; ++e) {
-      // oblv-lint: allow(D006) per-EDGE schedule derivation, one stream
-      // per edge by definition -- not a packet batch loop
       Rng rng = edge_rng(config.seed, static_cast<EdgeId>(e));
       bool down = rng.bits(32) < initial_cut;
       std::int64_t down_start = 0;

@@ -66,47 +66,9 @@ FaultRouteOutcome FaultAwareRouter::route_with_faults(NodeId s, NodeId t,
                                                       Rng& rng,
                                                       RouteScratch& scratch,
                                                       Path& out) const {
-  FaultRouteOutcome outcome;
-  if (faults_->fault_free()) {
-    inner_->route_into(s, t, rng, scratch, out);
-    return outcome;
-  }
-  expects_route_args(s, t);
-  inner_->route_into(s, t, rng, scratch, out);
-  if (faults_->node_failed(s) || faults_->node_failed(t)) {
-    // A dead endpoint is unrecoverable: no re-draw or detour can help.
-    outcome.status = FaultRouteStatus::kDropped;
-    OBLV_COUNTER_ADD("fault.drops", 1);
-    record_outcome(*mesh_, s, t, outcome, out.length());
-    return outcome;
-  }
-  if (!faults_->path_failed(out, query_step_)) {
-    return outcome;  // first draw is clean
-  }
-  while (outcome.attempts < policy_.max_attempts) {
-    ++outcome.attempts;
-    outcome.backoff_steps +=
-        backoff_for_retry(policy_.backoff_base, outcome.attempts - 1);
-    inner_->route_into(s, t, rng, scratch, out);
-    if (!faults_->path_failed(out, query_step_)) {
-      outcome.status = FaultRouteStatus::kRetried;
-      record_outcome(*mesh_, s, t, outcome, out.length());
-      return outcome;
-    }
-  }
-  if (greedy_detour(s, t, query_step_, rng, scratch.fault_detour)) {
-    out.nodes.assign(scratch.fault_detour.nodes.begin(),
-                     scratch.fault_detour.nodes.end());
-    outcome.status = FaultRouteStatus::kDetoured;
-    outcome.detour_hops = out.length();
-    record_outcome(*mesh_, s, t, outcome, out.length());
-    return outcome;
-  }
-  // Budget exhausted: the packet is dropped and counted; `out` keeps the
-  // last inner draw so Router-interface callers still see a valid path.
-  outcome.status = FaultRouteStatus::kDropped;
-  OBLV_COUNTER_ADD("fault.drops", 1);
-  record_outcome(*mesh_, s, t, outcome, out.length());
+  const FaultRouteOutcome outcome =
+      route_segments_with_faults(s, t, rng, scratch, scratch.segments);
+  path_from_segments_into(*mesh_, scratch.segments, out);
   return outcome;
 }
 
@@ -121,13 +83,14 @@ FaultRouteOutcome FaultAwareRouter::route_segments_with_faults(
   expects_route_args(s, t);
   inner_->route_segments_into(s, t, rng, scratch, out);
   if (faults_->node_failed(s) || faults_->node_failed(t)) {
+    // A dead endpoint is unrecoverable: no re-draw or detour can help.
     outcome.status = FaultRouteStatus::kDropped;
     OBLV_COUNTER_ADD("fault.drops", 1);
     record_outcome(*mesh_, s, t, outcome, out.length());
     return outcome;
   }
   if (!faults_->segments_failed(out, query_step_)) {
-    return outcome;
+    return outcome;  // first draw is clean
   }
   while (outcome.attempts < policy_.max_attempts) {
     ++outcome.attempts;
@@ -147,6 +110,8 @@ FaultRouteOutcome FaultAwareRouter::route_segments_with_faults(
     record_outcome(*mesh_, s, t, outcome, out.length());
     return outcome;
   }
+  // Budget exhausted: the packet is dropped and counted; `out` keeps the
+  // last inner draw so Router-interface callers still see a valid path.
   outcome.status = FaultRouteStatus::kDropped;
   OBLV_COUNTER_ADD("fault.drops", 1);
   record_outcome(*mesh_, s, t, outcome, out.length());
@@ -227,27 +192,6 @@ bool FaultAwareRouter::greedy_detour(NodeId s, NodeId t, std::int64_t step,
     out.nodes.push_back(cur);
   }
   return cur == t;
-}
-
-Path FaultAwareRouter::route(NodeId s, NodeId t, Rng& rng) const {
-  Path out;
-  RouteScratch scratch;
-  route_into(s, t, rng, scratch, out);
-  return out;
-}
-
-SegmentPath FaultAwareRouter::route_segments(NodeId s, NodeId t,
-                                             Rng& rng) const {
-  SegmentPath out;
-  RouteScratch scratch;
-  route_segments_into(s, t, rng, scratch, out);
-  return out;
-}
-
-void FaultAwareRouter::route_into(NodeId s, NodeId t, Rng& rng,
-                                  RouteScratch& scratch, Path& out) const {
-  (void)route_with_faults(s, t, rng, scratch, out);
-  ensures_route_result(s, t, out);
 }
 
 void FaultAwareRouter::route_segments_into(NodeId s, NodeId t, Rng& rng,

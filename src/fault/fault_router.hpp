@@ -75,23 +75,22 @@ class FaultAwareRouter final : public Router {
   const RetryPolicy& policy() const { return policy_; }
   std::int64_t query_step() const { return query_step_; }
 
-  // Full-outcome entry point. On kDropped, `out` holds the last inner
-  // draw (a valid mesh path that crosses a failed edge) so callers that
-  // ignore the outcome still satisfy the Router postconditions; callers
-  // that honor it must treat the packet as undeliverable.
-  FaultRouteOutcome route_with_faults(NodeId s, NodeId t, Rng& rng,
-                                      RouteScratch& scratch, Path& out) const;
+  // Full-outcome entry point: the retry/detour loop. On kDropped, `out`
+  // holds the last inner draw (a valid mesh path that crosses a failed
+  // edge) so callers that ignore the outcome still satisfy the Router
+  // postconditions; callers that honor it must treat the packet as
+  // undeliverable.
   FaultRouteOutcome route_segments_with_faults(NodeId s, NodeId t, Rng& rng,
                                                RouteScratch& scratch,
                                                SegmentPath& out) const;
+  // The same loop, its result staged in scratch.segments (overwriting
+  // it) and expanded in place into the node list `out`.
+  FaultRouteOutcome route_with_faults(NodeId s, NodeId t, Rng& rng,
+                                      RouteScratch& scratch, Path& out) const;
 
   // Router interface: the same recovery policy, outcome reported only
   // through the fault.* metrics. Draw-for-draw identical to the inner
   // router when the model is fault_free().
-  Path route(NodeId s, NodeId t, Rng& rng) const override;
-  SegmentPath route_segments(NodeId s, NodeId t, Rng& rng) const override;
-  void route_into(NodeId s, NodeId t, Rng& rng, RouteScratch& scratch,
-                  Path& out) const override;
   void route_segments_into(NodeId s, NodeId t, Rng& rng,
                            RouteScratch& scratch,
                            SegmentPath& out) const override;

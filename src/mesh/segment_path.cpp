@@ -24,10 +24,17 @@ SegmentPath segments_from_path(const Mesh& mesh, const Path& path) {
 }
 
 Path path_from_segments(const Mesh& mesh, const SegmentPath& sp) {
-  OBLV_REQUIRE(!sp.empty(), "cannot convert an empty segment path");
   Path path;
-  path.nodes.reserve(static_cast<std::size_t>(sp.length()) + 1);
-  path.nodes.push_back(sp.source);
+  path_from_segments_into(mesh, sp, path);
+  return path;
+}
+
+void path_from_segments_into(const Mesh& mesh, const SegmentPath& sp,
+                             Path& out) {
+  OBLV_REQUIRE(!sp.empty(), "cannot convert an empty segment path");
+  out.nodes.clear();
+  out.nodes.reserve(static_cast<std::size_t>(sp.length()) + 1);
+  out.nodes.push_back(sp.source);
   Coord cur = mesh.coord(sp.source);
   NodeId id = sp.source;
   for (const Segment& seg : sp.segments) {
@@ -37,12 +44,11 @@ Path path_from_segments(const Mesh& mesh, const SegmentPath& sp) {
     const std::int64_t steps = std::abs(seg.run);
     for (std::int64_t i = 0; i < steps; ++i) {
       id = mesh.walk_step(cur, id, seg.dim, dir);
-      path.nodes.push_back(id);
+      out.nodes.push_back(id);
     }
   }
-  OBLV_REQUIRE(path.nodes.back() == sp.dest,
+  OBLV_REQUIRE(out.nodes.back() == sp.dest,
                "segment path destination mismatch");
-  return path;
 }
 
 bool is_valid_segment_path(const Mesh& mesh, const SegmentPath& sp) {

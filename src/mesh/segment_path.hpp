@@ -47,6 +47,13 @@ struct SegmentPath {
   }
   bool empty() const { return source == kInvalidNode; }
 
+  // Starts the empty path from s to t, keeping the runs' capacity.
+  void reset(NodeId s, NodeId t) {
+    segments.clear();
+    source = s;
+    dest = t;
+  }
+
   // Appends a run, merging with the last segment when it continues in
   // the same dimension and direction (keeps runs maximal). run == 0 is
   // a no-op.
@@ -69,10 +76,14 @@ struct SegmentPath {
 // Lossless converters. segments_from_path derives each hop's dimension
 // and direction and merges maximal runs; path_from_segments replays the
 // runs into the full node sequence (wrap-aware on the torus).
+// path_from_segments_into is the in-place expansion every node list is
+// built with: it overwrites `out`, keeping its heap capacity.
 // \pre the input path / segment path is non-empty, every hop is a mesh
 // edge, and replayed runs stay on the mesh.
 SegmentPath segments_from_path(const Mesh& mesh, const Path& path);
 Path path_from_segments(const Mesh& mesh, const SegmentPath& sp);
+void path_from_segments_into(const Mesh& mesh, const SegmentPath& sp,
+                             Path& out);
 
 // True when the path is non-empty, starts and ends at its recorded
 // endpoints, and every run stays on the mesh (wrap-aware).

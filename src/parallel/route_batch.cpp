@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <type_traits>
 
 #include "obs/metrics.hpp"
-#include "parallel/soa_batch.hpp"
 #include "parallel/thread_pool.hpp"
 #include "util/check.hpp"
 #include "util/timer.hpp"
@@ -52,23 +50,11 @@ void run_batch(const Router& router, std::span<const Demand> demands,
   WallTimer timer;
   const std::size_t workers = std::max<std::size_t>(1, pool.num_threads());
 
-  // The SoA engine only emits segment form; the node-list driver and
-  // unsupported routers (Staircase, external Router subclasses) keep the
-  // scalar per-packet loop. Both loops claim identical chunks off the
-  // same cursor and produce bit-identical output (DESIGN.md section 10).
-  bool use_soa = false;
-  if constexpr (std::is_same_v<OutT, SegmentPath>) {
-    use_soa = options.engine != BatchEngine::kScalar &&
-              SoaBatchEngine::supports(router);
-  }
-
-  // The SoA engine's pair grouping amortizes with chunk size, so its
-  // default chunks are coarser (2 per worker for load balancing); the
-  // scalar loop keeps fine chunks -- its per-packet cost dominates.
-  const std::size_t chunk =
-      options.chunk_size != 0
-          ? options.chunk_size
-          : std::max<std::size_t>(1, n / (workers * (use_soa ? 2 : 8)));
+  // ~8 chunks per worker: small enough to steal tail work, large enough
+  // to keep the cursor off the hot path.
+  const std::size_t chunk = options.chunk_size != 0
+                                ? options.chunk_size
+                                : std::max<std::size_t>(1, n / (workers * 8));
   // Lock-free by design (DESIGN.md section 13): the cursor is the only
   // shared mutable state in the batch loop -- every output slot and
   // scratch buffer is owned by exactly one worker per chunk claim, so
@@ -76,21 +62,7 @@ void run_batch(const Router& router, std::span<const Demand> demands,
   // Relaxed suffices: fetch_add's atomicity alone partitions [0, n).
   std::atomic<std::size_t> cursor{0};
 
-  // Per-worker tallies are flushed in one registry visit per worker, into
-  // its own thread-local shard.
-  const auto flush_worker_obs = [](bool obs_on, std::size_t routed,
-                                   std::size_t chunks,
-                                   const IntHistogram& path_lengths) {
-    if (!obs_on || chunks == 0) return;
-    OBLV_COUNTER_ADD("routing.batch.chunks", chunks);
-    IntHistogram per_worker;
-    per_worker.add(static_cast<std::int64_t>(routed));
-    OBLV_HISTOGRAM_MERGE("routing.batch.packets_per_worker", per_worker);
-    OBLV_COUNTER_ADD("routing.packets", routed);
-    OBLV_HISTOGRAM_MERGE("routing.path_length", path_lengths);
-  };
-
-  const auto drain_scalar = [&]() {
+  const auto drain = [&]() {
     RouteScratch scratch;
     const bool obs_on = obs::metrics_enabled();
     IntHistogram path_lengths;
@@ -103,8 +75,6 @@ void run_batch(const Router& router, std::span<const Demand> demands,
       const std::size_t end = std::min(n, begin + chunk);
       for (std::size_t i = begin; i < end; ++i) {
         const Demand& demand = demands[i];
-        // oblv-lint: allow(D006) this IS the sanctioned scalar reference
-        // engine the SoA path is bit-compared against
         Rng rng = packet_rng(options.seed, i);
         route_one(router, demand, rng, scratch, out[i]);
         check_endpoints(out[i], demand);
@@ -115,39 +85,15 @@ void run_batch(const Router& router, std::span<const Demand> demands,
       routed += end - begin;
       ++chunks;
     }
-    flush_worker_obs(obs_on, routed, chunks, path_lengths);
-  };
-
-  const auto drain_soa = [&]() {
-    if constexpr (std::is_same_v<OutT, SegmentPath>) {
-      // Workers are pool threads that outlive the batch, so the engine's
-      // capacity-retaining buffers amortize across batches too.
-      static thread_local SoaBatchEngine engine;
-      const bool obs_on = obs::metrics_enabled();
-      IntHistogram path_lengths;
-      std::size_t routed = 0;
-      std::size_t chunks = 0;
-      for (;;) {
-        const std::size_t begin =
-            cursor.fetch_add(chunk, std::memory_order_relaxed);
-        if (begin >= n) break;
-        const std::size_t end = std::min(n, begin + chunk);
-        engine.run(router, demands, options.seed, begin, end,
-                   std::span<SegmentPath>(out),
-                   obs_on ? &path_lengths : nullptr);
-        routed += end - begin;
-        ++chunks;
-      }
-      flush_worker_obs(obs_on, routed, chunks, path_lengths);
-    }
-  };
-
-  const auto drain = [&]() {
-    if (use_soa) {
-      drain_soa();
-    } else {
-      drain_scalar();
-    }
+    // Per-worker tallies are flushed in one registry visit per worker, into
+    // its own thread-local shard.
+    if (!obs_on || chunks == 0) return;
+    OBLV_COUNTER_ADD("routing.batch.chunks", chunks);
+    IntHistogram per_worker;
+    per_worker.add(static_cast<std::int64_t>(routed));
+    OBLV_HISTOGRAM_MERGE("routing.batch.packets_per_worker", per_worker);
+    OBLV_COUNTER_ADD("routing.packets", routed);
+    OBLV_HISTOGRAM_MERGE("routing.path_length", path_lengths);
   };
 
   if (workers == 1) {

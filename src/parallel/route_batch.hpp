@@ -51,15 +51,8 @@ inline constexpr bool path_length_sampled(std::size_t i) {
   return (i & (kPathLengthSampleStride - 1)) == 0;
 }
 
-// Which inner loop route_batch runs. Both engines produce bit-identical
-// segment output for every algorithm, seed, thread count, and chunk size
-// (the determinism contract of DESIGN.md section 10); the choice is
-// purely a throughput decision.
-enum class BatchEngine {
-  kAuto,    // SoA when the router is supported, scalar otherwise
-  kScalar,  // force the per-packet scalar loop
-  kSoa,     // force the SoA engine (scalar for unsupported routers)
-};
+// Ignored: route_batch has one drain loop; kept only for perfbench's probe.
+enum class BatchEngine { kAuto, kScalar, kSoa };
 
 struct RouteBatchOptions {
   std::uint64_t seed = 1;
@@ -71,6 +64,7 @@ struct RouteBatchOptions {
   // The check is O(n) per call; replaying a pre-validated demand set can
   // switch it off (the endpoints cannot have changed).
   bool validate_demands = true;
+  // Ignored; kept only for perfbench's probe.
   BatchEngine engine = BatchEngine::kAuto;
 };
 
@@ -82,8 +76,8 @@ void route_batch(const Router& router, std::span<const Demand> demands,
                  ThreadPool& pool, const RouteBatchOptions& options,
                  std::vector<SegmentPath>& out);
 
-// Node-list twin of route_batch (same rng streams; the paths describe the
-// same routes as the segment form).
+// Node-list twin of route_batch (same rng streams; each path is the
+// in-place expansion of the segment form, see Router::route_into).
 // \pre every demand's endpoints are node ids of the router's mesh.
 void route_batch_paths(const Router& router, std::span<const Demand> demands,
                        ThreadPool& pool, const RouteBatchOptions& options,

@@ -5,70 +5,16 @@
 
 namespace oblivious {
 
-namespace {
-
-// The baselines need no scratch state: their only intermediates are
-// SmallVec-inline coordinates and permutations. The *_into entry points
-// exist so callers can reuse the output's capacity across packets.
-inline void reset_path(NodeId s, NodeId /*t*/, Path& out) {
-  out.nodes.clear();
-  out.nodes.push_back(s);
-}
-inline void reset_path(NodeId s, NodeId t, SegmentPath& out) {
-  out.segments.clear();
-  out.source = s;
-  out.dest = t;
-}
-
-}  // namespace
-
-void DimensionOrderRouter::route_into(NodeId s, NodeId t, Rng& /*rng*/,
-                                      RouteScratch& /*scratch*/,
-                                      Path& out) const {
-  expects_route_args(s, t);
-  reset_path(s, t, out);
-  const auto order = identity_order(mesh_->dim());
-  append_dim_order_path(*mesh_, mesh_->coord(s), mesh_->coord(t),
-                        std::span<const int>(order.data(), order.size()), out);
-  ensures_route_result(s, t, out);
-}
-
 void DimensionOrderRouter::route_segments_into(NodeId s, NodeId t,
                                                Rng& /*rng*/,
                                                RouteScratch& /*scratch*/,
                                                SegmentPath& out) const {
   expects_route_args(s, t);
-  reset_path(s, t, out);
+  out.reset(s, t);
   const auto order = identity_order(mesh_->dim());
   append_dim_order_segments(*mesh_, mesh_->coord(s), mesh_->coord(t),
                             std::span<const int>(order.data(), order.size()),
                             out);
-  ensures_route_result(s, t, out);
-}
-
-Path DimensionOrderRouter::route(NodeId s, NodeId t, Rng& rng) const {
-  RouteScratch scratch;
-  Path path;
-  route_into(s, t, rng, scratch, path);
-  return path;
-}
-
-SegmentPath DimensionOrderRouter::route_segments(NodeId s, NodeId t,
-                                                 Rng& rng) const {
-  RouteScratch scratch;
-  SegmentPath sp;
-  route_segments_into(s, t, rng, scratch, sp);
-  return sp;
-}
-
-void RandomDimOrderRouter::route_into(NodeId s, NodeId t, Rng& rng,
-                                      RouteScratch& /*scratch*/,
-                                      Path& out) const {
-  expects_route_args(s, t);
-  reset_path(s, t, out);
-  const auto order = rng.random_permutation(mesh_->dim());
-  append_dim_order_path(*mesh_, mesh_->coord(s), mesh_->coord(t),
-                        std::span<const int>(order.data(), order.size()), out);
   ensures_route_result(s, t, out);
 }
 
@@ -76,7 +22,7 @@ void RandomDimOrderRouter::route_segments_into(NodeId s, NodeId t, Rng& rng,
                                                RouteScratch& /*scratch*/,
                                                SegmentPath& out) const {
   expects_route_args(s, t);
-  reset_path(s, t, out);
+  out.reset(s, t);
   const auto order = rng.random_permutation(mesh_->dim());
   append_dim_order_segments(*mesh_, mesh_->coord(s), mesh_->coord(t),
                             std::span<const int>(order.data(), order.size()),
@@ -84,46 +30,11 @@ void RandomDimOrderRouter::route_segments_into(NodeId s, NodeId t, Rng& rng,
   ensures_route_result(s, t, out);
 }
 
-Path RandomDimOrderRouter::route(NodeId s, NodeId t, Rng& rng) const {
-  RouteScratch scratch;
-  Path path;
-  route_into(s, t, rng, scratch, path);
-  return path;
-}
-
-SegmentPath RandomDimOrderRouter::route_segments(NodeId s, NodeId t,
-                                                 Rng& rng) const {
-  RouteScratch scratch;
-  SegmentPath sp;
-  route_segments_into(s, t, rng, scratch, sp);
-  return sp;
-}
-
-void ValiantRouter::route_into(NodeId s, NodeId t, Rng& rng,
-                               RouteScratch& /*scratch*/, Path& out) const {
-  expects_route_args(s, t);
-  reset_path(s, t, out);
-  if (s == t) return;
-  const Coord cs = mesh_->coord(s);
-  const Coord ct = mesh_->coord(t);
-  const Region whole = Region::whole(*mesh_);
-  const Coord mid = whole.random_coord(*mesh_, rng);
-  const auto order1 = rng.random_permutation(mesh_->dim());
-  append_dim_order_path(*mesh_, cs, mid,
-                        std::span<const int>(order1.data(), order1.size()),
-                        out);
-  const auto order2 = rng.random_permutation(mesh_->dim());
-  append_dim_order_path(*mesh_, mid, ct,
-                        std::span<const int>(order2.data(), order2.size()),
-                        out);
-  ensures_route_result(s, t, out);
-}
-
 void ValiantRouter::route_segments_into(NodeId s, NodeId t, Rng& rng,
                                         RouteScratch& /*scratch*/,
                                         SegmentPath& out) const {
   expects_route_args(s, t);
-  reset_path(s, t, out);
+  out.reset(s, t);
   if (s == t) return;
   const Coord cs = mesh_->coord(s);
   const Coord ct = mesh_->coord(t);
@@ -138,20 +49,6 @@ void ValiantRouter::route_segments_into(NodeId s, NodeId t, Rng& rng,
                             std::span<const int>(order2.data(), order2.size()),
                             out);
   ensures_route_result(s, t, out);
-}
-
-Path ValiantRouter::route(NodeId s, NodeId t, Rng& rng) const {
-  RouteScratch scratch;
-  Path path;
-  route_into(s, t, rng, scratch, path);
-  return path;
-}
-
-SegmentPath ValiantRouter::route_segments(NodeId s, NodeId t, Rng& rng) const {
-  RouteScratch scratch;
-  SegmentPath sp;
-  route_segments_into(s, t, rng, scratch, sp);
-  return sp;
 }
 
 }  // namespace oblivious

@@ -21,10 +21,6 @@ class DimensionOrderRouter final : public Router {
  public:
   explicit DimensionOrderRouter(const Mesh& mesh) : Router(mesh) {}
 
-  Path route(NodeId s, NodeId t, Rng& rng) const override;
-  SegmentPath route_segments(NodeId s, NodeId t, Rng& rng) const override;
-  void route_into(NodeId s, NodeId t, Rng& rng, RouteScratch& scratch,
-                  Path& out) const override;
   void route_segments_into(NodeId s, NodeId t, Rng& rng, RouteScratch& scratch,
                            SegmentPath& out) const override;
   std::string name() const override { return "ecube"; }
@@ -35,10 +31,6 @@ class RandomDimOrderRouter final : public Router {
  public:
   explicit RandomDimOrderRouter(const Mesh& mesh) : Router(mesh) {}
 
-  Path route(NodeId s, NodeId t, Rng& rng) const override;
-  SegmentPath route_segments(NodeId s, NodeId t, Rng& rng) const override;
-  void route_into(NodeId s, NodeId t, Rng& rng, RouteScratch& scratch,
-                  Path& out) const override;
   void route_segments_into(NodeId s, NodeId t, Rng& rng, RouteScratch& scratch,
                            SegmentPath& out) const override;
   std::string name() const override { return "random-dim-order"; }
@@ -48,10 +40,6 @@ class ValiantRouter final : public Router {
  public:
   explicit ValiantRouter(const Mesh& mesh) : Router(mesh) {}
 
-  Path route(NodeId s, NodeId t, Rng& rng) const override;
-  SegmentPath route_segments(NodeId s, NodeId t, Rng& rng) const override;
-  void route_into(NodeId s, NodeId t, Rng& rng, RouteScratch& scratch,
-                  Path& out) const override;
   void route_segments_into(NodeId s, NodeId t, Rng& rng, RouteScratch& scratch,
                            SegmentPath& out) const override;
   std::string name() const override { return "valiant"; }

@@ -51,36 +51,11 @@ Region BoundedValiantRouter::box_for(NodeId s, NodeId t) const {
   return Region(std::move(anchor), std::move(extent));
 }
 
-void BoundedValiantRouter::route_into(NodeId s, NodeId t, Rng& rng,
-                                      RouteScratch& /*scratch*/,
-                                      Path& out) const {
-  expects_route_args(s, t);
-  out.nodes.clear();
-  out.nodes.push_back(s);
-  if (s == t) return;
-  const Coord cs = mesh_->coord(s);
-  const Coord ct = mesh_->coord(t);
-  const Region box = box_for(s, t);
-  const Coord mid = box.random_coord(*mesh_, rng);
-
-  const auto order1 = rng.random_permutation(mesh_->dim());
-  append_path_in_region(*mesh_, box, cs, mid,
-                        std::span<const int>(order1.data(), order1.size()),
-                        out);
-  const auto order2 = rng.random_permutation(mesh_->dim());
-  append_path_in_region(*mesh_, box, mid, ct,
-                        std::span<const int>(order2.data(), order2.size()),
-                        out);
-  ensures_route_result(s, t, out);
-}
-
 void BoundedValiantRouter::route_segments_into(NodeId s, NodeId t, Rng& rng,
                                                RouteScratch& /*scratch*/,
                                                SegmentPath& out) const {
   expects_route_args(s, t);
-  out.segments.clear();
-  out.source = s;
-  out.dest = t;
+  out.reset(s, t);
   if (s == t) return;
   const Coord cs = mesh_->coord(s);
   const Coord ct = mesh_->coord(t);
@@ -96,21 +71,6 @@ void BoundedValiantRouter::route_segments_into(NodeId s, NodeId t, Rng& rng,
                             std::span<const int>(order2.data(), order2.size()),
                             out);
   ensures_route_result(s, t, out);
-}
-
-Path BoundedValiantRouter::route(NodeId s, NodeId t, Rng& rng) const {
-  RouteScratch scratch;
-  Path path;
-  route_into(s, t, rng, scratch, path);
-  return path;
-}
-
-SegmentPath BoundedValiantRouter::route_segments(NodeId s, NodeId t,
-                                                 Rng& rng) const {
-  RouteScratch scratch;
-  SegmentPath sp;
-  route_segments_into(s, t, rng, scratch, sp);
-  return sp;
 }
 
 }  // namespace oblivious

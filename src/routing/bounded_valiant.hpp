@@ -22,10 +22,6 @@ class BoundedValiantRouter final : public Router {
   // \pre margin >= 0.
   explicit BoundedValiantRouter(const Mesh& mesh, double margin = 0.0);
 
-  Path route(NodeId s, NodeId t, Rng& rng) const override;
-  SegmentPath route_segments(NodeId s, NodeId t, Rng& rng) const override;
-  void route_into(NodeId s, NodeId t, Rng& rng, RouteScratch& scratch,
-                  Path& out) const override;
   void route_segments_into(NodeId s, NodeId t, Rng& rng, RouteScratch& scratch,
                            SegmentPath& out) const override;
   std::string name() const override;

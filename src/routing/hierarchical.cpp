@@ -1,7 +1,6 @@
 #include "routing/hierarchical.hpp"
 
 #include <algorithm>
-#include <type_traits>
 #include <vector>
 
 #include "mesh/contracts.hpp"
@@ -14,29 +13,6 @@ namespace oblivious {
 
 namespace {
 
-// Emission dispatch for one leg of the chain: node list or segments.
-inline void append_leg(const Mesh& mesh, const Region& region,
-                       const Coord& from, const Coord& to,
-                       std::span<const int> order, Path& out) {
-  append_path_in_region(mesh, region, from, to, order, out);
-}
-inline void append_leg(const Mesh& mesh, const Region& region,
-                       const Coord& from, const Coord& to,
-                       std::span<const int> order, SegmentPath& out) {
-  append_segments_in_region(mesh, region, from, to, order, out);
-}
-
-// Resets a caller-owned output to the empty path at s (capacity retained).
-inline void reset_path(NodeId s, NodeId /*t*/, Path& out) {
-  out.nodes.clear();
-  out.nodes.push_back(s);
-}
-inline void reset_path(NodeId s, NodeId t, SegmentPath& out) {
-  out.segments.clear();
-  out.source = s;
-  out.dest = t;
-}
-
 // Connects the waypoints of a bitonic chain into `out`. `chain` holds the
 // regions of the bitonic access-graph path (ascent over s, bridge, descent
 // over t) and `up_count` how many of them belong to the ascent; waypoint i
@@ -44,41 +20,32 @@ inline void reset_path(NodeId s, NodeId t, SegmentPath& out) {
 // region -- chain[i] while ascending (it contains the previous, smaller
 // region) and chain[i-1] while descending. The final leg runs to t inside
 // the last chain region. Templated on the waypoint/order callbacks (no
-// per-waypoint std::function allocations) and on the output
-// representation; `out` is cleared first, so with retained capacity the
-// whole emission is allocation-free.
-template <typename PathT, typename WaypointFn, typename OrderFn>
+// per-waypoint std::function allocations); `out` is cleared first, so with
+// retained capacity the whole emission is allocation-free.
+template <typename WaypointFn, typename OrderFn>
 void connect_chain_into(const Mesh& mesh, const std::vector<Region>& chain,
                         std::size_t up_count, const Coord& cs, const Coord& ct,
                         NodeId s, NodeId t, const WaypointFn& waypoint,
-                        const OrderFn& order_for, PathT& out) {
+                        const OrderFn& order_for, SegmentPath& out) {
   OBLV_CHECK(!chain.empty(), "bitonic chain cannot be empty");
   OBLV_EXPECTS(contracts::validate_bitonic_chain(mesh, chain, up_count),
                "Sections 3.2/4.1: chain regions must grow to the bridge and "
                "shrink after it, each containing its smaller neighbour");
-  reset_path(s, t, out);
+  out.reset(s, t);
   Coord cur = cs;
   for (std::size_t i = 0; i < chain.size(); ++i) {
     const Coord nxt = waypoint(chain[i], i);
     const Region& enclosing = (i <= up_count) ? chain[i] : chain[i - 1];
     const auto order = order_for(i);
-    append_leg(mesh, enclosing, cur, nxt,
-               std::span<const int>(order.data(), order.size()), out);
+    append_segments_in_region(
+        mesh, enclosing, cur, nxt,
+        std::span<const int>(order.data(), order.size()), out);
     cur = nxt;
   }
   const auto order = order_for(chain.size());
-  append_leg(mesh, chain.back(), cur, ct,
-             std::span<const int>(order.data(), order.size()), out);
-}
-
-inline void trivial_path_into(NodeId s, Path& out) {
-  out.nodes.clear();
-  out.nodes.push_back(s);
-}
-inline void trivial_path_into(NodeId s, SegmentPath& out) {
-  out.segments.clear();
-  out.source = s;
-  out.dest = s;
+  append_segments_in_region(mesh, chain.back(), cur, ct,
+                            std::span<const int>(order.data(), order.size()),
+                            out);
 }
 
 }  // namespace
@@ -136,11 +103,12 @@ void AncestorRouter::resolve_plan_at(const Coord& cs, const Coord& ct,
   bridge_level = 0;
 }
 
-template <typename PathT>
-void AncestorRouter::route_into_impl(NodeId s, NodeId t, Rng& rng,
-                                     RouteScratch& scratch, PathT& out) const {
+void AncestorRouter::route_segments_into(NodeId s, NodeId t, Rng& rng,
+                                         RouteScratch& scratch,
+                                         SegmentPath& out) const {
+  expects_route_args(s, t);
   if (s == t) {
-    trivial_path_into(s, out);
+    out.reset(s, t);
     return;
   }
   const Coord cs = mesh_->coord(s);
@@ -149,47 +117,16 @@ void AncestorRouter::route_into_impl(NodeId s, NodeId t, Rng& rng,
   int bridge_level = 0;
   resolve_plan_at(cs, ct, scratch.chain, up_count, bridge_level);
 
-  connect_chain_into<PathT>(
+  connect_chain_into(
       *mesh_, scratch.chain, up_count, cs, ct, s, t,
       [&](const Region& region, std::size_t) {
         return region.random_coord(*mesh_, rng);
       },
       [&](std::size_t) { return rng.random_permutation(mesh_->dim()); }, out);
-}
-
-void AncestorRouter::route_into(NodeId s, NodeId t, Rng& rng,
-                                RouteScratch& scratch, Path& out) const {
-  expects_route_args(s, t);
-  route_into_impl(s, t, rng, scratch, out);
   ensures_route_result(s, t, out);
   OBLV_ENSURES(hierarchy_ != Hierarchy::kAccessGraph || mesh_->dim() != 2 ||
                    contracts::validate_stretch_bound(*mesh_, out, 2),
                "Theorem 3.4: 2D access-graph stretch must be <= 64");
-}
-
-void AncestorRouter::route_segments_into(NodeId s, NodeId t, Rng& rng,
-                                         RouteScratch& scratch,
-                                         SegmentPath& out) const {
-  expects_route_args(s, t);
-  route_into_impl(s, t, rng, scratch, out);
-  ensures_route_result(s, t, out);
-  OBLV_ENSURES(hierarchy_ != Hierarchy::kAccessGraph || mesh_->dim() != 2 ||
-                   contracts::validate_stretch_bound(*mesh_, out, 2),
-               "Theorem 3.4: 2D access-graph stretch must be <= 64");
-}
-
-Path AncestorRouter::route(NodeId s, NodeId t, Rng& rng) const {
-  RouteScratch scratch;
-  Path p;
-  route_into(s, t, rng, scratch, p);
-  return p;
-}
-
-SegmentPath AncestorRouter::route_segments(NodeId s, NodeId t, Rng& rng) const {
-  RouteScratch scratch;
-  SegmentPath sp;
-  route_segments_into(s, t, rng, scratch, sp);
-  return sp;
 }
 
 // ---------------------------------------------------------------------------
@@ -269,11 +206,12 @@ void NdRouter::resolve_plan_at(const Coord& cs, const Coord& ct,
   bridge_level = bridge.level;
 }
 
-template <typename PathT>
-void NdRouter::route_into_impl(NodeId s, NodeId t, Rng& rng,
-                               RouteScratch& scratch, PathT& out) const {
+void NdRouter::route_segments_into(NodeId s, NodeId t, Rng& rng,
+                                   RouteScratch& scratch,
+                                   SegmentPath& out) const {
+  expects_route_args(s, t);
   if (s == t) {
-    trivial_path_into(s, out);
+    out.reset(s, t);
     return;
   }
   const Coord cs = mesh_->coord(s);
@@ -284,79 +222,48 @@ void NdRouter::route_into_impl(NodeId s, NodeId t, Rng& rng,
   resolve_plan_at(cs, ct, scratch.chain, up_count, bridge_level);
 
   if (mode_ == RandomnessMode::kNaive) {
-    connect_chain_into<PathT>(
+    connect_chain_into(
         *mesh_, scratch.chain, up_count, cs, ct, s, t,
         [&](const Region& region, std::size_t) {
           return region.random_coord(*mesh_, rng);
         },
         [&](std::size_t) { return rng.random_permutation(d); }, out);
-    return;
+  } else {
+    // Frugal mode (Section 5.3): one dimension order for the whole path
+    // and two random coordinate vectors v1, v2 drawn once at the bridge
+    // scale; smaller submeshes reuse their low-order bits, alternating
+    // between v1 and v2 so that the two endpoints of every subpath stay
+    // independent.
+    const auto order = rng.random_permutation(d);
+    const int bh = decomp_.height_of(bridge_level);
+    Coord v1;
+    Coord v2;
+    v1.resize(static_cast<std::size_t>(d));
+    v2.resize(static_cast<std::size_t>(d));
+    for (std::size_t dd = 0; dd < static_cast<std::size_t>(d); ++dd) {
+      v1[dd] = static_cast<std::int64_t>(rng.bits(bh));
+      v2[dd] = static_cast<std::int64_t>(rng.bits(bh));
+    }
+    connect_chain_into(
+        *mesh_, scratch.chain, up_count, cs, ct, s, t,
+        [&](const Region& region, std::size_t i) {
+          const Coord& v = (i % 2 == 0) ? v1 : v2;
+          Coord off;
+          off.resize(static_cast<std::size_t>(d));
+          for (std::size_t dd = 0; dd < static_cast<std::size_t>(d); ++dd) {
+            // Extents are powers of two except for truncated bridges, where
+            // the modulo introduces a mild bias that does not affect the
+            // congestion guarantee (truncated submeshes border the mesh).
+            off[dd] = v[dd] % region.extent()[dd];
+          }
+          return region.coord_at(*mesh_, off);
+        },
+        [&](std::size_t) { return order; }, out);
   }
-
-  // Frugal mode (Section 5.3): one dimension order for the whole path and
-  // two random coordinate vectors v1, v2 drawn once at the bridge scale;
-  // smaller submeshes reuse their low-order bits, alternating between v1
-  // and v2 so that the two endpoints of every subpath stay independent.
-  const auto order = rng.random_permutation(d);
-  const int bh = decomp_.height_of(bridge_level);
-  Coord v1;
-  Coord v2;
-  v1.resize(static_cast<std::size_t>(d));
-  v2.resize(static_cast<std::size_t>(d));
-  for (std::size_t dd = 0; dd < static_cast<std::size_t>(d); ++dd) {
-    v1[dd] = static_cast<std::int64_t>(rng.bits(bh));
-    v2[dd] = static_cast<std::int64_t>(rng.bits(bh));
-  }
-  connect_chain_into<PathT>(
-      *mesh_, scratch.chain, up_count, cs, ct, s, t,
-      [&](const Region& region, std::size_t i) {
-        const Coord& v = (i % 2 == 0) ? v1 : v2;
-        Coord off;
-        off.resize(static_cast<std::size_t>(d));
-        for (std::size_t dd = 0; dd < static_cast<std::size_t>(d); ++dd) {
-          // Extents are powers of two except for truncated bridges, where
-          // the modulo introduces a mild bias that does not affect the
-          // congestion guarantee (truncated submeshes border the mesh).
-          off[dd] = v[dd] % region.extent()[dd];
-        }
-        return region.coord_at(*mesh_, off);
-      },
-      [&](std::size_t) { return order; }, out);
-}
-
-void NdRouter::route_into(NodeId s, NodeId t, Rng& rng, RouteScratch& scratch,
-                          Path& out) const {
-  expects_route_args(s, t);
-  route_into_impl(s, t, rng, scratch, out);
   ensures_route_result(s, t, out);
   OBLV_ENSURES(bridge_mode_ != BridgeHeightMode::kPrescribed ||
                    contracts::validate_stretch_bound(*mesh_, out, mesh_->dim()),
                "Theorem 4.2: stretch must be <= 40 d (d+1)");
-}
-
-void NdRouter::route_segments_into(NodeId s, NodeId t, Rng& rng,
-                                   RouteScratch& scratch,
-                                   SegmentPath& out) const {
-  expects_route_args(s, t);
-  route_into_impl(s, t, rng, scratch, out);
-  ensures_route_result(s, t, out);
-  OBLV_ENSURES(bridge_mode_ != BridgeHeightMode::kPrescribed ||
-                   contracts::validate_stretch_bound(*mesh_, out, mesh_->dim()),
-               "Theorem 4.2: stretch must be <= 40 d (d+1)");
-}
-
-Path NdRouter::route(NodeId s, NodeId t, Rng& rng) const {
-  RouteScratch scratch;
-  Path p;
-  route_into(s, t, rng, scratch, p);
-  return p;
-}
-
-SegmentPath NdRouter::route_segments(NodeId s, NodeId t, Rng& rng) const {
-  RouteScratch scratch;
-  SegmentPath sp;
-  route_segments_into(s, t, rng, scratch, sp);
-  return sp;
 }
 
 }  // namespace oblivious

@@ -43,10 +43,6 @@ class AncestorRouter final : public Router {
 
   AncestorRouter(const Mesh& mesh, Hierarchy hierarchy);
 
-  Path route(NodeId s, NodeId t, Rng& rng) const override;
-  SegmentPath route_segments(NodeId s, NodeId t, Rng& rng) const override;
-  void route_into(NodeId s, NodeId t, Rng& rng, RouteScratch& scratch,
-                  Path& out) const override;
   void route_segments_into(NodeId s, NodeId t, Rng& rng, RouteScratch& scratch,
                            SegmentPath& out) const override;
   std::string name() const override;
@@ -59,9 +55,8 @@ class AncestorRouter final : public Router {
 
   // Resolves the bitonic chain for the pair in closed form from the two
   // node labels. The chain depends only on (s, t), never on a packet's
-  // random bits, so the SoA batch engine resolves each unique pair once
-  // per batch instead of once per packet. `bridge_level` is always 0 here
-  // (only NdRouter's frugal mode consumes it).
+  // random bits. `bridge_level` is always 0 here (only NdRouter's frugal
+  // mode consumes it).
   // \pre s != t, both node ids of this router's mesh.
   void resolve_plan(NodeId s, NodeId t, std::vector<Region>& chain,
                     std::size_t& up_count, int& bridge_level) const;
@@ -72,9 +67,6 @@ class AncestorRouter final : public Router {
   void resolve_plan_at(const Coord& cs, const Coord& ct,
                        std::vector<Region>& chain, std::size_t& up_count,
                        int& bridge_level) const;
-  template <typename PathT>
-  void route_into_impl(NodeId s, NodeId t, Rng& rng, RouteScratch& scratch,
-                       PathT& out) const;
 
   Decomposition decomp_;
   Hierarchy hierarchy_;
@@ -100,10 +92,6 @@ class NdRouter final : public Router {
                     RandomnessMode mode = RandomnessMode::kNaive,
                     BridgeHeightMode bridge_mode = BridgeHeightMode::kPrescribed);
 
-  Path route(NodeId s, NodeId t, Rng& rng) const override;
-  SegmentPath route_segments(NodeId s, NodeId t, Rng& rng) const override;
-  void route_into(NodeId s, NodeId t, Rng& rng, RouteScratch& scratch,
-                  Path& out) const override;
   void route_segments_into(NodeId s, NodeId t, Rng& rng, RouteScratch& scratch,
                            SegmentPath& out) const override;
   std::string name() const override;
@@ -131,9 +119,6 @@ class NdRouter final : public Router {
   void resolve_plan_at(const Coord& cs, const Coord& ct,
                        std::vector<Region>& chain, std::size_t& up_count,
                        int& bridge_level) const;
-  template <typename PathT>
-  void route_into_impl(NodeId s, NodeId t, Rng& rng, RouteScratch& scratch,
-                       PathT& out) const;
 
   Decomposition decomp_;
   RandomnessMode mode_;

@@ -40,41 +40,12 @@ Path KChoiceRouter::alternative(NodeId s, NodeId t, int index) const {
   return inner_->route(s, t, inner_rng);
 }
 
-Path KChoiceRouter::route(NodeId s, NodeId t, Rng& rng) const {
-  expects_route_args(s, t);
-  const int index =
-      static_cast<int>(rng.uniform_below(static_cast<std::uint64_t>(kappa_)));
-  Path p = alternative(s, t, index);
-  ensures_route_result(s, t, p);
-  return p;
-}
-
-SegmentPath KChoiceRouter::route_segments(NodeId s, NodeId t, Rng& rng) const {
-  expects_route_args(s, t);
-  const int index =
-      static_cast<int>(rng.uniform_below(static_cast<std::uint64_t>(kappa_)));
-  Rng inner_rng(pair_seed(s, t, index));
-  SegmentPath sp = inner_->route_segments(s, t, inner_rng);
-  ensures_route_result(s, t, sp);
-  return sp;
-}
-
-void KChoiceRouter::route_into(NodeId s, NodeId t, Rng& rng,
-                               RouteScratch& scratch, Path& out) const {
-  expects_route_args(s, t);
-  // Same draw order as `route`: one index choice from the packet's rng;
-  // the inner router then runs on the fixed per-(pair, index) seed.
-  const int index =
-      static_cast<int>(rng.uniform_below(static_cast<std::uint64_t>(kappa_)));
-  Rng inner_rng(pair_seed(s, t, index));
-  inner_->route_into(s, t, inner_rng, scratch, out);
-  ensures_route_result(s, t, out);
-}
-
 void KChoiceRouter::route_segments_into(NodeId s, NodeId t, Rng& rng,
                                         RouteScratch& scratch,
                                         SegmentPath& out) const {
   expects_route_args(s, t);
+  // One index choice from the packet's rng; the inner router then runs on
+  // the fixed per-(pair, index) seed.
   const int index =
       static_cast<int>(rng.uniform_below(static_cast<std::uint64_t>(kappa_)));
   Rng inner_rng(pair_seed(s, t, index));

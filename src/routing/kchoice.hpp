@@ -31,10 +31,6 @@ class KChoiceRouter final : public Router {
   KChoiceRouter(std::unique_ptr<Router> inner, int kappa,
                 std::uint64_t table_seed = 0x5eedUL);
 
-  Path route(NodeId s, NodeId t, Rng& rng) const override;
-  SegmentPath route_segments(NodeId s, NodeId t, Rng& rng) const override;
-  void route_into(NodeId s, NodeId t, Rng& rng, RouteScratch& scratch,
-                  Path& out) const override;
   void route_segments_into(NodeId s, NodeId t, Rng& rng, RouteScratch& scratch,
                            SegmentPath& out) const override;
   std::string name() const override;

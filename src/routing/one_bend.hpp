@@ -10,33 +10,23 @@
 #include <span>
 
 #include "mesh/mesh.hpp"
-#include "mesh/path.hpp"
 #include "mesh/region.hpp"
 #include "mesh/segment_path.hpp"
 
 namespace oblivious {
 
-// Appends to `path` the nodes of a dimension-order shortest path from the
-// last node of `path` (which must be at coordinate `from`) to `to`,
-// correcting dimensions in the order given. On the torus each dimension
-// takes the shorter way around.
-void append_dim_order_path(const Mesh& mesh, const Coord& from, const Coord& to,
-                           std::span<const int> order, Path& path);
+// Appends to `sp` a dimension-order shortest path from `from` to `to`:
+// one run per corrected dimension, in the order given. On the torus each
+// dimension takes the shorter way around. Precondition: the segment path
+// currently ends at `from` (the caller tracks the cursor).
+void append_dim_order_segments(const Mesh& mesh, const Coord& from,
+                               const Coord& to, std::span<const int> order,
+                               SegmentPath& sp);
 
 // Same, but the subpath is guaranteed to stay inside `region`: movement
 // happens in the region's offset space, which matters on the torus where
 // the globally shorter way around may leave the region. Both endpoints
 // must lie in the region.
-void append_path_in_region(const Mesh& mesh, const Region& region,
-                           const Coord& from, const Coord& to,
-                           std::span<const int> order, Path& path);
-
-// Segment-emitting twins of the two appends above: one O(1) run per
-// corrected dimension instead of one node per hop. Precondition: the
-// segment path currently ends at `from` (the caller tracks the cursor).
-void append_dim_order_segments(const Mesh& mesh, const Coord& from,
-                               const Coord& to, std::span<const int> order,
-                               SegmentPath& sp);
 void append_segments_in_region(const Mesh& mesh, const Region& region,
                                const Coord& from, const Coord& to,
                                std::span<const int> order, SegmentPath& sp);

@@ -5,17 +5,17 @@
 // (Section 1). Implementations must therefore be callable independently
 // per packet, which also makes them trivially parallel.
 //
-// Every router offers two equivalent emission modes: `route` returns the
-// full node list, `route_segments` returns the compact segment form
-// (source + maximal axis-aligned runs). The two draw randomness in the
-// same order, so with equal rng state they describe the same path; the
-// measurement pipeline consumes segments, the simulator consumes nodes.
-//
-// Each mode additionally has a zero-allocation twin -- `route_into` /
-// `route_segments_into` -- that fills a caller-owned output (capacity
-// retained across packets) and threads a RouteScratch for intermediate
-// buffers. The twins are draw-for-draw identical to the allocating APIs:
-// same rng consumption, byte-identical result (DESIGN.md section 8).
+// Every path the paper's routers build is a few straight runs (the
+// one-bend subpaths of Section 3.3, step 7), so a router implements one
+// emission function, `route_segments_into`, which writes that compact
+// segment form (source + maximal axis-aligned runs) into a caller-owned
+// output and threads a RouteScratch for intermediate buffers. The other
+// entry points are derived from it in this base class: `route_into`
+// expands the segments into the node list in place, and `route` /
+// `route_segments` are allocating conveniences. All four draw the same
+// randomness, so with equal rng state they describe the same path; the
+// measurement pipeline consumes segments, the simulator consumes nodes
+// (DESIGN.md section 8).
 #pragma once
 
 #include <memory>
@@ -39,40 +39,40 @@ class Router {
 
   const Mesh& mesh() const { return *mesh_; }
 
-  // Selects a path from s to t. The same (s, t, rng state) always yields
+  // Selects a path from s to t and writes its segment form into `out`,
+  // clearing its previous content but keeping its heap capacity; `scratch`
+  // holds intermediate state. The same (s, t, rng state) always yields
   // the same path; randomized routers draw all their randomness from `rng`
   // so that attaching a BitMeter measures their per-packet bit consumption.
   // \pre s and t are node ids of this router's mesh.
-  // \post the returned path is a valid mesh path from s to t.
-  virtual Path route(NodeId s, NodeId t, Rng& rng) const = 0;
-
-  // Same path, compact form, without materializing the node list. The
-  // default derives it from `route`; hot routers override it to emit
-  // segments natively (O(#segments) instead of O(path length)).
-  virtual SegmentPath route_segments(NodeId s, NodeId t, Rng& rng) const {
-    return segments_from_path(*mesh_, route(s, t, rng));
-  }
-
-  // Zero-allocation twin of `route`: fills `out` in place (clearing its
-  // previous content but keeping its heap capacity), using `scratch` for
-  // intermediate state. Must consume the identical rng stream and produce
-  // the identical path as `route`. The default delegates to the
-  // allocating API; every in-tree router overrides it natively and turns
-  // `route` into a thin wrapper over this.
-  // \pre s and t are node ids of this router's mesh.
-  virtual void route_into(NodeId s, NodeId t, Rng& rng, RouteScratch& scratch,
-                          Path& out) const {
-    (void)scratch;
-    out = route(s, t, rng);
-  }
-
-  // Zero-allocation twin of `route_segments`; same contract as route_into.
-  // \pre s and t are node ids of this router's mesh.
+  // \post `out` is a valid segment path from s to t.
   virtual void route_segments_into(NodeId s, NodeId t, Rng& rng,
                                    RouteScratch& scratch,
-                                   SegmentPath& out) const {
-    (void)scratch;
-    out = route_segments(s, t, rng);
+                                   SegmentPath& out) const = 0;
+
+  // The same path as a node list: the segments are staged in
+  // scratch.segments (overwriting it) and expanded in place into `out`.
+  // \pre s and t are node ids of this router's mesh.
+  void route_into(NodeId s, NodeId t, Rng& rng, RouteScratch& scratch,
+                  Path& out) const {
+    route_segments_into(s, t, rng, scratch, scratch.segments);
+    path_from_segments_into(*mesh_, scratch.segments, out);
+    ensures_route_result(s, t, out);
+  }
+
+  // Allocating conveniences over the two entry points above.
+  // \pre s and t are node ids of this router's mesh.
+  Path route(NodeId s, NodeId t, Rng& rng) const {
+    RouteScratch scratch;
+    Path path;
+    route_into(s, t, rng, scratch, path);
+    return path;
+  }
+  SegmentPath route_segments(NodeId s, NodeId t, Rng& rng) const {
+    RouteScratch scratch;
+    SegmentPath sp;
+    route_segments_into(s, t, rng, scratch, sp);
+    return sp;
   }
 
   virtual std::string name() const = 0;
@@ -82,7 +82,7 @@ class Router {
   virtual bool deterministic() const { return false; }
 
  protected:
-  // Shared contracts for every route/route_segments implementation; all
+  // Shared contracts for every route_segments_into implementation; all
   // compile out with the contract macros (default Release: zero cost).
   void expects_route_args(NodeId s, NodeId t) const {
     OBLV_EXPECTS(s >= 0 && s < mesh_->num_nodes(), "source off the mesh");

@@ -17,10 +17,6 @@ class RandomStaircaseRouter final : public Router {
  public:
   explicit RandomStaircaseRouter(const Mesh& mesh) : Router(mesh) {}
 
-  Path route(NodeId s, NodeId t, Rng& rng) const override;
-  SegmentPath route_segments(NodeId s, NodeId t, Rng& rng) const override;
-  void route_into(NodeId s, NodeId t, Rng& rng, RouteScratch& scratch,
-                  Path& out) const override;
   void route_segments_into(NodeId s, NodeId t, Rng& rng, RouteScratch& scratch,
                            SegmentPath& out) const override;
   std::string name() const override { return "staircase"; }

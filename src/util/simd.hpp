@@ -3,19 +3,13 @@
 // Policy (DESIGN.md section 10): every vectorized kernel in the library is
 // pure integer arithmetic with a portable scalar twin, so the dispatch
 // below selects *speed only* -- results are bit-identical either way.
-// Three switches compose:
+// Two switches compose:
 //   * configure time: -DOBLV_SIMD=OFF compiles the scalar bodies only
 //     (OBLV_SIMD_ENABLED undefined);
 //   * runtime, CPU: the AVX2 kernels are compiled with
 //     __attribute__((target("avx2"))) and only selected when
-//     __builtin_cpu_supports("avx2") says the host can run them;
-//   * runtime, operator: OBLV_SIMD=0 / off / false in the environment
-//     forces the scalar twins even on capable hardware (A/B determinism
-//     checks, perf triage).
+//     __builtin_cpu_supports("avx2") says the host can run them.
 #pragma once
-
-#include <cstdlib>
-#include <cstring>
 
 namespace oblivious {
 
@@ -36,25 +30,12 @@ namespace oblivious {
 #define OBLV_PRAGMA_SIMD
 #endif
 
-// True when the environment does NOT veto SIMD (OBLV_SIMD=0/off/false).
-// Read once per process; the scalar twins are always safe, so a bogus
-// value simply leaves SIMD on.
-inline bool simd_env_allowed() {
-  static const bool allowed = [] {
-    const char* v = std::getenv("OBLV_SIMD");
-    if (v == nullptr) return true;
-    return !(std::strcmp(v, "0") == 0 || std::strcmp(v, "off") == 0 ||
-             std::strcmp(v, "OFF") == 0 || std::strcmp(v, "false") == 0);
-  }();
-  return allowed;
-}
-
-// True when the AVX2 kernels should be used: compiled in, host support,
-// and no environment veto.
+// True when the AVX2 kernels should be used: compiled in and supported
+// by the host.
 inline bool simd_avx2_enabled() {
 #if OBLV_SIMD_X86_DISPATCH
   static const bool enabled = __builtin_cpu_supports("avx2") != 0;
-  return enabled && simd_env_allowed();
+  return enabled;
 #else
   return false;
 #endif

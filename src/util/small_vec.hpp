@@ -106,15 +106,6 @@ class SmallVec {
 
   void clear() { size_ = 0; }
 
-  // Replaces the contents with [src, src + count) in one bulk copy --
-  // cheaper than clear() + repeated push_back when the caller has staged
-  // the elements elsewhere (e.g. the SoA engine's segment scratch).
-  void assign(const T* src, std::size_t count) {
-    if (count > capacity_) grow(count);
-    std::copy(src, src + count, data_);
-    size_ = count;
-  }
-
   void resize(std::size_t count, const T& value = T{}) {
     if (count > capacity_) grow(count);
     for (std::size_t i = size_; i < count; ++i) data_[i] = value;

@@ -1,8 +1,7 @@
 // Proves the zero-allocation claim of the scratch-threaded routing path:
 // after a warm-up pass (which grows every reusable buffer to its
-// steady-state capacity), repeated route_into /
-// route_segments_into calls on the hierarchical routers perform ZERO heap
-// allocations. The test binary overrides the global allocation functions
+// steady-state capacity), repeated route_segments_into calls and the
+// route_into expansions derived from them perform ZERO heap allocations. The test binary overrides the global allocation functions
 // with counting wrappers; the contract-checked build is skipped because
 // the OBLV_EXPECTS validators allocate by design.
 #include <gtest/gtest.h>
@@ -14,7 +13,9 @@
 
 #include "mesh/mesh.hpp"
 #include "mesh/segment_path.hpp"
-#include "parallel/soa_batch.hpp"
+#include "obs/metrics.hpp"
+#include "parallel/route_batch.hpp"
+#include "parallel/thread_pool.hpp"
 #include "rng/rng.hpp"
 #include "routing/hierarchical.hpp"
 #include "routing/registry.hpp"
@@ -81,16 +82,19 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
 namespace oblivious {
 namespace {
 
-// Routes every pair in `pairs` once (segment form) and returns the number
-// of heap allocations the pass performed.
+// Routes every pair in `pairs` once in segment form and once as a node
+// list, and returns the number of heap allocations the pass performed.
 template <typename RouterT>
 std::uint64_t count_pass(const RouterT& router,
                          const std::vector<std::pair<NodeId, NodeId>>& pairs,
-                         RouteScratch& scratch, SegmentPath& out) {
+                         RouteScratch& scratch, SegmentPath& out,
+                         Path& nodes) {
   const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
   for (const auto& [s, t] : pairs) {
     Rng rng(99);
     router.route_segments_into(s, t, rng, scratch, out);
+    Rng node_rng(99);
+    router.route_into(s, t, node_rng, scratch, nodes);
   }
   return g_alloc_count.load(std::memory_order_relaxed) - before;
 }
@@ -100,12 +104,15 @@ void expect_zero_steady_state(const RouterT& router, const Mesh& mesh) {
   const auto pairs = testing::sample_pairs(mesh, 64, 17);
   RouteScratch scratch;
   SegmentPath out;
+  Path nodes;
   // Two warm-up passes: the first grows buffers, the second settles any
   // capacity that depends on warm-path sizes.
-  count_pass(router, pairs, scratch, out);
-  count_pass(router, pairs, scratch, out);
-  EXPECT_EQ(count_pass(router, pairs, scratch, out), 0u) << router.name();
-  EXPECT_EQ(count_pass(router, pairs, scratch, out), 0u) << router.name();
+  count_pass(router, pairs, scratch, out, nodes);
+  count_pass(router, pairs, scratch, out, nodes);
+  EXPECT_EQ(count_pass(router, pairs, scratch, out, nodes), 0u)
+      << router.name();
+  EXPECT_EQ(count_pass(router, pairs, scratch, out, nodes), 0u)
+      << router.name();
 }
 
 TEST(AllocCount, HierarchicalRoutersAllocateNothingSteadyState) {
@@ -139,47 +146,43 @@ TEST(AllocCount, BaselineRoutersAllocateNothingSteadyState) {
 #endif
 }
 
-// The SoA batch engine's buffers are all capacity-retaining members, so
-// after a warm-up batch (grouping tables and draw rows grown, output
-// SmallVecs spilled to their final capacity) repeated batches perform
-// ZERO heap allocations -- the claim soa_batch.hpp makes.
+// route_batch on one thread drains inline with one RouteScratch per call,
+// and `out` keeps every entry's capacity across calls, so a warm call
+// allocates a per-call constant that does not grow with the batch: 4096
+// packets cost no more allocations than 64. (The test keeps the name it
+// had when it covered the removed SoA engine.)
 TEST(AllocCount, SoaBatchEngineAllocatesNothingSteadyState) {
 #if OBLV_CONTRACTS_ACTIVE
   GTEST_SKIP() << "contract validators allocate by design";
 #else
-  const auto run_engine = [](const Router& router, const Mesh& mesh) {
-    const auto pairs = testing::sample_pairs(mesh, 48, 29);
-    std::vector<Demand> demands;
-    for (const auto& [s, t] : pairs) demands.push_back({s, t});
-    for (std::size_t i = 0; i < 32; ++i) {  // repeats: multi-block groups
-      demands.push_back({pairs[i % 4].first, pairs[i % 4].second});
-    }
-    SoaBatchEngine engine;
-    std::vector<SegmentPath> out(demands.size());
-    const auto pass = [&]() {
-      const std::uint64_t before =
-          g_alloc_count.load(std::memory_order_relaxed);
-      engine.run(router, demands, /*seed=*/9, 0, demands.size(),
-                 std::span<SegmentPath>(out), nullptr);
-      return g_alloc_count.load(std::memory_order_relaxed) - before;
-    };
-    pass();
-    pass();
-    EXPECT_EQ(pass(), 0u) << router.name();
-    EXPECT_EQ(pass(), 0u) << router.name();
+  // The path-length sample histogram grows its bins with the longest
+  // sampled path; switch the metrics off to count the routing alone.
+  const bool metrics_were_on = obs::metrics_enabled();
+  obs::set_metrics_enabled(false);
+  ThreadPool pool(1);
+  const auto warm_call_allocs = [&](const Router& router,
+                                    std::span<const Demand> demands) {
+    RouteBatchOptions options;
+    options.seed = 9;
+    std::vector<SegmentPath> out;
+    route_batch(router, demands, pool, options, out);
+    const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+    route_batch(router, demands, pool, options, out);
+    return g_alloc_count.load(std::memory_order_relaxed) - before;
   };
-  const Mesh mesh2 = Mesh::cube(2, 16);
-  run_engine(AncestorRouter(mesh2, AncestorRouter::Hierarchy::kAccessGraph),
-             mesh2);
-  run_engine(NdRouter(mesh2, NdRouter::RandomnessMode::kFrugal), mesh2);
-  const Mesh mesh3 = Mesh::cube(3, 8, /*torus=*/true);
-  run_engine(NdRouter(mesh3), mesh3);
-  for (const Algorithm algo : {Algorithm::kEcube, Algorithm::kRandomDimOrder,
-                               Algorithm::kValiant,
-                               Algorithm::kBoundedValiant}) {
-    const auto router = make_router(algo, mesh2);
-    run_engine(*router, mesh2);
+  for (const Mesh& mesh : {Mesh::cube(2, 64), Mesh::cube(3, 16)}) {
+    Rng rng(29);
+    const RoutingProblem problem = random_permutation(mesh, rng);
+    const std::span<const Demand> all(problem.demands);
+    ASSERT_EQ(all.size(), 4096u);
+    for (const Algorithm algo : algorithms_for(mesh)) {
+      const auto router = make_router(algo, mesh);
+      EXPECT_LE(warm_call_allocs(*router, all),
+                warm_call_allocs(*router, all.first(64)))
+          << router->name() << " on " << mesh.describe();
+    }
   }
+  obs::set_metrics_enabled(metrics_were_on);
 #endif
 }
 

@@ -1,8 +1,7 @@
 // Fails on any drift from the committed golden corpora:
 // tests/golden/digests.tsv pins the routes (see golden_corpus.hpp) and
 // tests/golden/sim_digests.tsv the simulators (see golden_sim_corpus.hpp).
-// Each route entry is also routed through route_batch on two threads,
-// whose default engine is the SoA kernel wherever it is supported, and
+// Each route entry is also routed through route_batch on two threads and
 // must hash to the same segment output.
 #include <gtest/gtest.h>
 

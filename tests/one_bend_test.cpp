@@ -6,9 +6,17 @@
 namespace oblivious {
 namespace {
 
-Path start_at(const Mesh& mesh, const Coord& c) {
+// The empty segment path from `from` to `to`, ready for the appends.
+SegmentPath start_at(const Mesh& mesh, const Coord& from, const Coord& to) {
+  SegmentPath sp;
+  sp.reset(mesh.node_id(from), mesh.node_id(to));
+  return sp;
+}
+
+// The node list of `sp`, expanded in place as Router::route_into does.
+Path nodes_of(const Mesh& mesh, const SegmentPath& sp) {
   Path p;
-  p.nodes.push_back(mesh.node_id(c));
+  path_from_segments_into(mesh, sp, p);
   return p;
 }
 
@@ -24,9 +32,10 @@ TEST(OneBend, ShortestPathOnMesh) {
   const Mesh m({8, 8});
   const Coord from{1, 2};
   const Coord to{5, 6};
-  Path p = start_at(m, from);
+  SegmentPath sp = start_at(m, from, to);
   const auto order = identity_order(2);
-  append_dim_order_path(m, from, to, {order.data(), order.size()}, p);
+  append_dim_order_segments(m, from, to, {order.data(), order.size()}, sp);
+  const Path p = nodes_of(m, sp);
   EXPECT_TRUE(is_valid_path(m, p));
   EXPECT_EQ(p.length(), m.distance(from, to));
   EXPECT_EQ(p.destination(), m.node_id(to));
@@ -38,9 +47,10 @@ TEST(OneBend, OrderControlsBendPlacement) {
   const Mesh m({8, 8});
   const Coord from{1, 2};
   const Coord to{5, 6};
-  Path p = start_at(m, from);
+  SegmentPath sp = start_at(m, from, to);
   const int order_yx[] = {1, 0};
-  append_dim_order_path(m, from, to, {order_yx, 2}, p);
+  append_dim_order_segments(m, from, to, {order_yx, 2}, sp);
+  const Path p = nodes_of(m, sp);
   EXPECT_EQ(m.coord(p.nodes[1]), (Coord{1, 3}));  // y first
   EXPECT_EQ(p.length(), m.distance(from, to));
 }
@@ -49,9 +59,10 @@ TEST(OneBend, TakesShorterArcOnTorus) {
   const Mesh t({8, 8}, true);
   const Coord from{1, 0};
   const Coord to{7, 0};
-  Path p = start_at(t, from);
+  SegmentPath sp = start_at(t, from, to);
   const auto order = identity_order(2);
-  append_dim_order_path(t, from, to, {order.data(), order.size()}, p);
+  append_dim_order_segments(t, from, to, {order.data(), order.size()}, sp);
+  const Path p = nodes_of(t, sp);
   EXPECT_EQ(p.length(), 2);  // 1 -> 0 -> 7, wrapping
   EXPECT_TRUE(is_valid_path(t, p));
 }
@@ -59,20 +70,22 @@ TEST(OneBend, TakesShorterArcOnTorus) {
 TEST(OneBend, ZeroLengthPath) {
   const Mesh m({8, 8});
   const Coord c{3, 3};
-  Path p = start_at(m, c);
+  SegmentPath sp = start_at(m, c, c);
   const auto order = identity_order(2);
-  append_dim_order_path(m, c, c, {order.data(), order.size()}, p);
+  append_dim_order_segments(m, c, c, {order.data(), order.size()}, sp);
+  const Path p = nodes_of(m, sp);
   EXPECT_EQ(p.length(), 0);
 }
 
 TEST(OneBend, RejectsMismatchedStart) {
+  // Runs appended from (1, 1) onto a path that starts at (0, 0) end at
+  // (1, 1), not at the recorded destination: the expansion refuses them.
   const Mesh m({8, 8});
-  Path p = start_at(m, Coord{0, 0});
+  SegmentPath sp = start_at(m, Coord{0, 0}, Coord{2, 2});
   const auto order = identity_order(2);
-  EXPECT_THROW(
-      append_dim_order_path(m, Coord{1, 1}, Coord{2, 2},
-                            {order.data(), order.size()}, p),
-      std::invalid_argument);
+  append_dim_order_segments(m, Coord{1, 1}, Coord{2, 2},
+                            {order.data(), order.size()}, sp);
+  EXPECT_THROW(nodes_of(m, sp), std::invalid_argument);
 }
 
 TEST(OneBend, InRegionStaysInside) {
@@ -83,8 +96,10 @@ TEST(OneBend, InRegionStaysInside) {
   for (int trial = 0; trial < 100; ++trial) {
     const Coord a = region.random_coord(m, rng);
     const Coord b = region.random_coord(m, rng);
-    Path p = start_at(m, a);
-    append_path_in_region(m, region, a, b, {order.data(), order.size()}, p);
+    SegmentPath sp = start_at(m, a, b);
+    append_segments_in_region(m, region, a, b, {order.data(), order.size()},
+                              sp);
+    const Path p = nodes_of(m, sp);
     EXPECT_TRUE(is_valid_path(m, p));
     EXPECT_EQ(p.length(), m.distance(a, b));
     for (const NodeId u : p.nodes) {
@@ -103,8 +118,10 @@ TEST(OneBend, InRegionStaysInsideWrappedRegion) {
   for (int trial = 0; trial < 200; ++trial) {
     const Coord a = region.random_coord(t, rng);
     const Coord b = region.random_coord(t, rng);
-    Path p = start_at(t, a);
-    append_path_in_region(t, region, a, b, {order.data(), order.size()}, p);
+    SegmentPath sp = start_at(t, a, b);
+    append_segments_in_region(t, region, a, b, {order.data(), order.size()},
+                              sp);
+    const Path p = nodes_of(t, sp);
     EXPECT_TRUE(is_valid_path(t, p));
     for (const NodeId u : p.nodes) {
       EXPECT_TRUE(region.contains_node(t, u)) << t.coord(u).at(0);
@@ -121,8 +138,10 @@ TEST(OneBend, InRegionLengthBoundedByRegionPerimeter) {
   for (int trial = 0; trial < 100; ++trial) {
     const Coord a = region.random_coord(t, rng);
     const Coord b = region.random_coord(t, rng);
-    Path p = start_at(t, a);
-    append_path_in_region(t, region, a, b, {order.data(), order.size()}, p);
+    SegmentPath sp = start_at(t, a, b);
+    append_segments_in_region(t, region, a, b, {order.data(), order.size()},
+                              sp);
+    const Path p = nodes_of(t, sp);
     EXPECT_LE(p.length(), (region.extent_at(0) - 1) + (region.extent_at(1) - 1));
   }
 }
@@ -130,10 +149,10 @@ TEST(OneBend, InRegionLengthBoundedByRegionPerimeter) {
 TEST(OneBend, InRegionRejectsOutsideEndpoints) {
   const Mesh m({8, 8});
   const Region region(Coord{0, 0}, Coord{2, 2});
-  Path p = start_at(m, Coord{0, 0});
+  SegmentPath sp = start_at(m, Coord{0, 0}, Coord{5, 5});
   const auto order = identity_order(2);
-  EXPECT_THROW(append_path_in_region(m, region, Coord{0, 0}, Coord{5, 5},
-                                     {order.data(), order.size()}, p),
+  EXPECT_THROW(append_segments_in_region(m, region, Coord{0, 0}, Coord{5, 5},
+                                         {order.data(), order.size()}, sp),
                std::invalid_argument);
 }
 

@@ -172,15 +172,17 @@ TEST(OnlineSimulation, PoliciesAllComplete) {
 class DetourRouter final : public Router {
  public:
   using Router::Router;
-  Path route(NodeId s, NodeId t, Rng& /*rng*/) const override {
+  void route_segments_into(NodeId s, NodeId t, Rng& /*rng*/,
+                           RouteScratch& /*scratch*/,
+                           SegmentPath& out) const override {
     Path p;
     if (s == 0 && t == 1) {
       p.nodes = {0, 1, 2, 1};
-      return p;
+    } else {
+      for (NodeId u = s; u != t; u += (t > u ? 1 : -1)) p.nodes.push_back(u);
+      p.nodes.push_back(t);
     }
-    for (NodeId u = s; u != t; u += (t > u ? 1 : -1)) p.nodes.push_back(u);
-    p.nodes.push_back(t);
-    return p;
+    out = segments_from_path(mesh(), p);
   }
   std::string name() const override { return "detour"; }
 };

@@ -123,62 +123,7 @@ TEST(ParallelRouteBatch, BitIdenticalAcrossThreadCountsAndChunks) {
   }
 }
 
-// The SoA engine's determinism contract (DESIGN.md section 10): for every
-// supported algorithm, thread count, and chunk size -- including odd
-// chunks that split lane groups mid-stream -- the grouped, vectorized
-// engine emits segment output bit-identical to the forced-scalar loop.
-// Unsupported routers (Staircase) must silently fall back to scalar under
-// kSoa, so they are kept in the algorithm sweep on purpose. The pool(1)
-// runs route inline on this thread, so one thread-local engine serves
-// every mesh shape and algorithm in turn: stale columns from a 3d torus
-// batch must not leak into the next 2d mesh batch.
-TEST(ParallelRouteBatch, SoaEngineBitIdenticalToScalar) {
-  struct MeshCase {
-    int dim;
-    std::int64_t side;
-    bool torus;
-  };
-  for (const MeshCase& mc : {MeshCase{2, 16, false}, MeshCase{2, 16, true},
-                             MeshCase{3, 8, false}, MeshCase{3, 8, true}}) {
-    const Mesh mesh = Mesh::cube(mc.dim, mc.side, mc.torus);
-    Rng wl_rng(9);
-    RoutingProblem problem = random_permutation(mesh, wl_rng);
-    // A few self demands: the engine must reproduce the scalar early-out.
-    problem.demands.push_back({5, 5});
-    problem.demands.push_back({0, 0});
-    for (const Algorithm algo : algorithms_for(mesh)) {
-      const auto router = make_router(algo, mesh);
-      RouteBatchOptions scalar_opts;
-      scalar_opts.seed = 33;
-      scalar_opts.engine = BatchEngine::kScalar;
-      ThreadPool ref_pool(1);
-      std::vector<SegmentPath> reference;
-      route_batch(*router, std::span<const Demand>(problem.demands), ref_pool,
-                  scalar_opts, reference);
-
-      RouteBatchOptions soa_opts = scalar_opts;
-      soa_opts.engine = BatchEngine::kSoa;
-      for (const std::size_t threads :
-           {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-        // Chunk 0 is the engine-tuned default; 37 is an odd prime that
-        // fragments every pair group across chunk boundaries and lanes.
-        for (const std::size_t chunk : {std::size_t{0}, std::size_t{37}}) {
-          ThreadPool pool(threads);
-          soa_opts.chunk_size = chunk;
-          std::vector<SegmentPath> out;
-          route_batch(*router, std::span<const Demand>(problem.demands), pool,
-                      soa_opts, out);
-          EXPECT_EQ(out, reference)
-              << router->name() << " torus=" << mc.torus
-              << " threads=" << threads << " chunk=" << chunk;
-        }
-      }
-    }
-  }
-}
-
-// kAuto must route identically to both forced engines (it only picks the
-// inner loop), and switching off demand validation must not change paths.
+// Switching off demand validation must not change paths.
 TEST(ParallelRouteBatch, EngineChoiceAndValidationDoNotChangeOutput) {
   const Mesh mesh = Mesh::cube(2, 16);
   Rng wl_rng(4);
@@ -187,21 +132,14 @@ TEST(ParallelRouteBatch, EngineChoiceAndValidationDoNotChangeOutput) {
   ThreadPool pool(4);
   RouteBatchOptions options;
   options.seed = 55;
-  std::vector<SegmentPath> auto_out;
+  std::vector<SegmentPath> validated;
   route_batch(*router, std::span<const Demand>(problem.demands), pool, options,
-              auto_out);
-  for (const BatchEngine engine : {BatchEngine::kScalar, BatchEngine::kSoa}) {
-    for (const bool validate : {true, false}) {
-      RouteBatchOptions opts = options;
-      opts.engine = engine;
-      opts.validate_demands = validate;
-      std::vector<SegmentPath> out;
-      route_batch(*router, std::span<const Demand>(problem.demands), pool,
-                  opts, out);
-      EXPECT_EQ(out, auto_out) << "engine=" << static_cast<int>(engine)
-                               << " validate=" << validate;
-    }
-  }
+              validated);
+  options.validate_demands = false;
+  std::vector<SegmentPath> out;
+  route_batch(*router, std::span<const Demand>(problem.demands), pool, options,
+              out);
+  EXPECT_EQ(out, validated);
 }
 
 TEST(ParallelRouteBatch, PathsTwinMatchesSegmentForm) {

@@ -6,7 +6,6 @@
 
 #include "parallel/route_batch.hpp"
 #include "rng/rng.hpp"
-#include "rng/rng_lanes.hpp"
 
 namespace oblivious {
 namespace {
@@ -185,106 +184,6 @@ TEST(Rng, ForkDiverges) {
     if (a.next_u64() == b.next_u64()) ++equal;
   }
   EXPECT_LT(equal, 3);
-}
-
-// --- RngLanes: the lane-parallel twin the SoA batch engine runs on. ---
-// Its contract is bit-identity with the scalar counter streams: lane k of
-// every draw must emit EXACTLY the word packet_rng(seed, indices[k])
-// would emit at the same stream position.
-
-TEST(RngLanes, LanesMatchScalarPacketStreams) {
-  constexpr std::uint64_t kSeed = 0xfeedface;
-  std::uint64_t indices[RngLanes::kLanes];
-  std::vector<Rng> scalar;
-  for (std::size_t k = 0; k < RngLanes::kLanes; ++k) {
-    indices[k] = k * 977 + 3;  // non-contiguous packet indices
-    scalar.push_back(packet_rng(kSeed, indices[k]));
-  }
-  RngLanes lanes;
-  lanes.seed_packets(kSeed, indices, RngLanes::kLanes);
-  std::uint64_t out[RngLanes::kLanes];
-  for (int step = 0; step < 64; ++step) {
-    lanes.next(out);
-    for (std::size_t k = 0; k < RngLanes::kLanes; ++k) {
-      ASSERT_EQ(out[k], scalar[k].next_u64())
-          << "lane " << k << " step " << step;
-    }
-  }
-}
-
-// A tail group seeds the unused lanes with the last real index: they step
-// in lock step (keeping the SIMD sweep branch-free) but mirror that
-// stream, and the engine never reads them.
-TEST(RngLanes, TailLanesDuplicateLastIndex) {
-  constexpr std::uint64_t kSeed = 17;
-  const std::uint64_t indices[3] = {5, 900, 42};
-  RngLanes lanes;
-  lanes.seed_packets(kSeed, indices, 3);
-  EXPECT_EQ(lanes.active(), 3u);
-  Rng last = packet_rng(kSeed, 42);
-  std::uint64_t out[RngLanes::kLanes];
-  for (int step = 0; step < 8; ++step) {
-    lanes.next(out);
-    const std::uint64_t expect = last.next_u64();
-    for (std::size_t k = 2; k < RngLanes::kLanes; ++k) {
-      ASSERT_EQ(out[k], expect) << "lane " << k << " step " << step;
-    }
-  }
-}
-
-// next_lane is the rejection fix-up: it must advance exactly one lane's
-// stream and leave every other lane untouched.
-TEST(RngLanes, NextLaneAdvancesOnlyThatLane) {
-  constexpr std::uint64_t kSeed = 23;
-  constexpr std::size_t kFixup = 5;
-  std::uint64_t indices[RngLanes::kLanes];
-  std::vector<Rng> scalar;
-  for (std::size_t k = 0; k < RngLanes::kLanes; ++k) {
-    indices[k] = 100 + k;
-    scalar.push_back(packet_rng(kSeed, indices[k]));
-  }
-  RngLanes lanes;
-  lanes.seed_packets(kSeed, indices, RngLanes::kLanes);
-  std::uint64_t out[RngLanes::kLanes];
-  lanes.next(out);
-  for (std::size_t k = 0; k < RngLanes::kLanes; ++k) {
-    ASSERT_EQ(out[k], scalar[k].next_u64());
-  }
-  // Redraw lane kFixup twice; its scalar twin follows, the rest hold.
-  EXPECT_EQ(lanes.next_lane(kFixup), scalar[kFixup].next_u64());
-  EXPECT_EQ(lanes.next_lane(kFixup), scalar[kFixup].next_u64());
-  // The next full-width step finds every lane back on its own stream.
-  lanes.next(out);
-  for (std::size_t k = 0; k < RngLanes::kLanes; ++k) {
-    ASSERT_EQ(out[k], scalar[k].next_u64()) << "lane " << k;
-  }
-}
-
-// The blocked sweep (state held in registers across all ops) must be
-// bit-identical to repeated single steps -- including the state left
-// behind, proven by drawing once more from both.
-TEST(RngLanes, NextBlockMatchesRepeatedNext) {
-  constexpr std::uint64_t kSeed = 31;
-  constexpr std::size_t kOps = 22;
-  std::uint64_t indices[RngLanes::kLanes];
-  for (std::size_t k = 0; k < RngLanes::kLanes; ++k) indices[k] = 7 * k + 1;
-  RngLanes blocked, stepped;
-  blocked.seed_packets(kSeed, indices, RngLanes::kLanes);
-  stepped.seed_packets(kSeed, indices, RngLanes::kLanes);
-  std::vector<std::uint64_t> rows(kOps * RngLanes::kLanes);
-  blocked.next_block(rows.data(), kOps);
-  std::uint64_t out[RngLanes::kLanes];
-  for (std::size_t o = 0; o < kOps; ++o) {
-    stepped.next(out);
-    for (std::size_t k = 0; k < RngLanes::kLanes; ++k) {
-      ASSERT_EQ(rows[o * RngLanes::kLanes + k], out[k])
-          << "op " << o << " lane " << k;
-    }
-  }
-  std::uint64_t a[RngLanes::kLanes], b[RngLanes::kLanes];
-  blocked.next(a);
-  stepped.next(b);
-  for (std::size_t k = 0; k < RngLanes::kLanes; ++k) EXPECT_EQ(a[k], b[k]);
 }
 
 TEST(Rng, UniformDoubleInUnitInterval) {

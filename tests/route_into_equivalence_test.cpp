@@ -12,13 +12,10 @@
 #include "mesh/mesh.hpp"
 #include "mesh/path.hpp"
 #include "mesh/segment_path.hpp"
-#include "parallel/route_batch.hpp"
-#include "parallel/soa_batch.hpp"
 #include "rng/rng.hpp"
 #include "routing/registry.hpp"
 #include "routing/route_scratch.hpp"
 #include "test_support.hpp"
-#include "workloads/problem.hpp"
 
 namespace oblivious {
 namespace {
@@ -123,62 +120,6 @@ TEST(RouteIntoEquivalence, DirtyScratchIsHarmless) {
       router->route_segments_into(s, t, rng_b, reused, reused_out);
       EXPECT_EQ(fresh_out, reused_out) << router->name();
     }
-  }
-}
-
-// The SoA batch engine must reproduce route_segments_into packet for
-// packet: pair grouping, the compiled draw program, and the lane-parallel
-// rng may not change a single segment (DESIGN.md section 10). One engine
-// instance is reused across all meshes and algorithms, so every iteration
-// after the first runs with dirty grouping tables, plan columns, and draw
-// rows from a differently-shaped predecessor. The demand list repeats
-// pairs (so groups span multiple lane blocks, including ragged tails) and
-// the engine is driven over two uneven sub-ranges to exercise mid-array
-// starts, exactly as chunked workers would.
-TEST(RouteIntoEquivalence, SoaEngineMatchesScalarPerPacket) {
-  constexpr std::uint64_t kSeed = 91;
-  SoaBatchEngine engine;
-  for (const MeshCase& mc : mesh_cases()) {
-    const Mesh mesh = Mesh::cube(mc.dim, mc.side, mc.torus);
-    const auto pairs = testing::sample_pairs(mesh, 40, 83);
-    std::vector<Demand> demands;
-    for (const auto& [s, t] : pairs) demands.push_back({s, t});
-    for (std::size_t i = 0; i < 30; ++i) {  // repeats: multi-block groups
-      demands.push_back({pairs[i % 3].first, pairs[i % 3].second});
-    }
-    demands.push_back({pairs[0].first, pairs[0].first});  // s == t
-    for (const Algorithm algo : algorithms_for(mesh)) {
-      const auto router = make_router(algo, mesh);
-      if (!SoaBatchEngine::supports(*router)) continue;
-      std::vector<SegmentPath> scalar_out(demands.size());
-      RouteScratch scratch;
-      for (std::size_t i = 0; i < demands.size(); ++i) {
-        Rng rng = packet_rng(kSeed, i);
-        router->route_segments_into(demands[i].src, demands[i].dst, rng,
-                                    scratch, scalar_out[i]);
-      }
-      std::vector<SegmentPath> soa_out(demands.size());
-      const std::size_t split = demands.size() / 3;
-      engine.run(*router, demands, kSeed, 0, split,
-                 std::span<SegmentPath>(soa_out), nullptr);
-      engine.run(*router, demands, kSeed, split, demands.size(),
-                 std::span<SegmentPath>(soa_out), nullptr);
-      EXPECT_EQ(soa_out, scalar_out)
-          << router->name() << " dim=" << mc.dim << " torus=" << mc.torus;
-    }
-  }
-}
-
-// Staircase draws a data-dependent number of words per hop, so it has no
-// SoA kernel; supports() must say so (route_batch relies on it to fall
-// back), and the routers with kernels must all be claimed.
-TEST(RouteIntoEquivalence, SoaEngineSupportMatrix) {
-  const Mesh mesh = Mesh::cube(2, 16);
-  for (const Algorithm algo : algorithms_for(mesh)) {
-    const auto router = make_router(algo, mesh);
-    EXPECT_EQ(SoaBatchEngine::supports(*router),
-              algo != Algorithm::kStaircase)
-        << router->name();
   }
 }
 

@@ -21,11 +21,13 @@ double edge_usage_probability(const Mesh& mesh, const Region& from,
   for (int i = 0; i < samples; ++i) {
     const Coord a = from.random_coord(mesh, rng);
     const Coord b = to.random_coord(mesh, rng);
-    Path path;
-    path.nodes.push_back(mesh.node_id(a));
+    SegmentPath sp;
+    sp.reset(mesh.node_id(a), mesh.node_id(b));
     const auto order = rng.random_permutation(mesh.dim());
-    append_path_in_region(mesh, to, a, b,
-                          {order.data(), order.size()}, path);
+    append_segments_in_region(mesh, to, a, b, {order.data(), order.size()},
+                              sp);
+    Path path;
+    path_from_segments_into(mesh, sp, path);
     for (std::size_t j = 0; j + 1 < path.nodes.size(); ++j) {
       const NodeId x = path.nodes[j];
       const NodeId y = path.nodes[j + 1];

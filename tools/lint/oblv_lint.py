@@ -28,12 +28,6 @@ Rules (all scoped to the paper-reproduction discipline in DESIGN.md §7):
         OBLV_COUNTER_ADD("fault. nearby is an uncounted loss -- the
         graceful-degradation accounting (delivered + dropped == injected)
         silently lies when one of these sites forgets its counter.
-  D006  No scalar Rng construction inside batch loops (src/parallel/,
-        src/fault/, src/analysis/): seeding a fresh engine per loop
-        iteration is exactly the per-packet cost the SoA lane rng
-        (RngLanes, 8 streams per seeding sweep) amortizes away. The
-        sanctioned scalar reference loops carry an allow() with the
-        reason they must stay scalar.
   D007  No blocking I/O syscalls outside src/daemon/net*: raw
         read/write/recv/send/accept/connect/poll/select calls can stall
         a daemon thread forever on a dead peer. All socket I/O goes
@@ -104,7 +98,6 @@ RULE_DOCS = {
     "C001": "undocumented preconditions in paired header",
     "D004": "per-call container allocation in a route*_into hot path",
     "D005": "packet drop/requeue without a fault.* metric increment",
-    "D006": "scalar per-iteration Rng construction in a batch loop",
     "D007": "blocking I/O syscall outside src/daemon/net*",
     "D008": "naked std sync primitive outside the annotations header",
     "D009": "relaxed atomic access to an accounting value",
@@ -494,60 +487,6 @@ def check_d005(path: Path, rel: str, code: str, raw_lines: list[str],
     return findings
 
 
-# ---------------------------------------------------------------- D006 --
-
-# Scalar engine construction inside loop bodies of the batch layers. A
-# fresh Rng per iteration re-runs the splitmix64 seeding expansion per
-# packet -- the cost RngLanes::seed_packets amortizes 8 lanes at a time
-# (DESIGN.md section 10). Declarations match `Rng name ...`; references
-# (`Rng&`) and RngLanes itself do not.
-D006_DIRS = ("src/parallel/", "src/fault/", "src/analysis/")
-D006_LOOP_RE = re.compile(r"\b(?:for|while)\s*\(")
-D006_RNG_RE = re.compile(r"\bRng\s+\w+\s*[({=]|\bpacket_rng\s*\(")
-
-
-def loop_body_spans(code: str) -> list[tuple[int, int]]:
-    """(start, end) spans of every braced for/while body."""
-    spans = []
-    for m in D006_LOOP_RE.finditer(code):
-        after_cond = _matching(code, m.end() - 1, "(", ")")
-        if after_cond < 0:
-            continue
-        i = after_cond
-        while i < len(code) and code[i].isspace():
-            i += 1
-        if i >= len(code) or code[i] != "{":
-            continue  # single-statement body cannot declare an engine
-        end = _matching(code, i, "{", "}")
-        if end > 0:
-            spans.append((i, end))
-    return spans
-
-
-def check_d006(path: Path, rel: str, code: str,
-               allowed: dict[int, set[str]]) -> list[Finding]:
-    if path.suffix != ".cpp":
-        return []
-    if not any(rel.startswith(d) or f"/{d}" in rel for d in D006_DIRS):
-        return []
-    findings = []
-    seen: set[int] = set()
-    for start, end in loop_body_spans(code):
-        for m in D006_RNG_RE.finditer(code, start, end):
-            ln = line_of(code, m.start())
-            if ln in seen or is_allowed(allowed, ln, "D006"):
-                continue
-            seen.add(ln)
-            findings.append(Finding(
-                "D006", path, ln,
-                "scalar Rng constructed inside a batch loop: per-iteration "
-                "engine seeding is what RngLanes amortizes (DESIGN.md "
-                "section 10); hoist the engine, feed the lane rng, or "
-                "justify the scalar reference path with "
-                "// oblv-lint: allow(D006)"))
-    return findings
-
-
 # ---------------------------------------------------------------- D007 --
 
 # The one sanctioned home for raw socket/file syscalls. Everything else
@@ -781,7 +720,6 @@ def lint_file(path: Path, root: Path) -> list[Finding]:
     findings += check_d003(path, rel, code, allowed)
     findings += check_d004(path, rel, code, allowed)
     findings += check_d005(path, rel, code, raw_lines, allowed)
-    findings += check_d006(path, rel, code, allowed)
     findings += check_d007(path, rel, code, allowed)
     findings += check_d008(path, rel, code, allowed)
     findings += check_d009(path, rel, code, allowed)

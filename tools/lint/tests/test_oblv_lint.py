@@ -122,26 +122,6 @@ class TestD005(unittest.TestCase):
         self.assertEqual(lint("src/analysis/d005_scoped_out.cpp"), [])
 
 
-class TestD006(unittest.TestCase):
-    def test_for_and_while_constructions_fire(self):
-        found = rules_and_lines(lint("src/parallel/d006_scalar_rng.cpp"))
-        self.assertIn(("D006", 6), found)   # packet_rng in a for body
-        self.assertIn(("D006", 11), found)  # direct Rng ctor in a while body
-
-    def test_allow_hoisted_lanes_and_references_do_not_fire(self):
-        findings = lint("src/parallel/d006_scalar_rng.cpp")
-        lines = {f.line for f in findings}
-        self.assertEqual(lines, {6, 11},
-                         [f.render(FIXTURES) for f in findings])
-
-    def test_scoped_to_batch_layers(self):
-        # src/routing/ scalar loops are the per-packet engine itself,
-        # not D006's business.
-        self.assertEqual(
-            [f for f in lint("src/routing/d004_route_into.cpp")
-             if f.rule == "D006"], [])
-
-
 class TestD007(unittest.TestCase):
     def test_qualified_and_bare_syscalls_fire(self):
         found = rules_and_lines(lint("src/daemon/d007_syscalls.cpp"))

@@ -3,7 +3,7 @@
 // Serves oblivious path selection over a Unix or loopback TCP socket:
 // length-prefixed binary requests (see src/daemon/protocol.hpp) are
 // admission-controlled into a per-tenant weighted fair-share queue,
-// coalesced into batches through route_batch / the SoA engine, and the
+// coalesced into batches through route_batch, and the
 // segment paths stream back per request. SIGTERM/SIGINT drain
 // gracefully: stop accepting, flush every admitted request, exit 0.
 //
