@@ -1,7 +1,9 @@
 // Prints a golden corpus, one tab-separated entry per line: the route
-// corpus (golden_corpus.hpp) in the order of tests/golden/digests.tsv, or
+// corpus (golden_corpus.hpp) in the order of tests/golden/digests.tsv,
 // with the argument `sim` the simulator corpus (golden_sim_corpus.hpp) in
-// the order of tests/golden/sim_digests.tsv. Run it through
+// the order of tests/golden/sim_digests.tsv, or with the argument
+// `sketch` the sketch corpus (golden_sketch_corpus.hpp) in the order of
+// tests/golden/sketch_digests.tsv. Run it through
 // tests/golden/regenerate.sh, never by hand into the files.
 #include <cstdio>
 #include <cstring>
@@ -9,6 +11,7 @@
 
 #include "golden_corpus.hpp"
 #include "golden_sim_corpus.hpp"
+#include "golden_sketch_corpus.hpp"
 
 int main(int argc, char** argv) {
   using namespace oblivious;
@@ -17,6 +20,15 @@ int main(int argc, char** argv) {
                 "makespan\tC\tD\tlat_count\tlat_sum\tlat_min\tlat_max\t"
                 "queueing_sum\tdelivered\tdropped\tmax_node_queue\n");
     for (const golden::SimEntry& e : golden::sim_entries()) {
+      std::printf("%s\n", e.line().c_str());
+    }
+    return 0;
+  }
+  if (argc > 1 && std::strcmp(argv[1], "sketch") == 0) {
+    obs::set_metrics_enabled(true);
+    std::printf("# mesh algorithm seed threads\tedge_hash\tmax_load\tp50\t"
+                "p99\tcharges\tchurn\n");
+    for (const golden::SketchEntry& e : golden::sketch_entries()) {
       std::printf("%s\n", e.line().c_str());
     }
     return 0;

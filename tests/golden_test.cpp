@@ -1,6 +1,8 @@
 // Fails on any drift from the committed golden corpora:
 // tests/golden/digests.tsv pins the routes (see golden_corpus.hpp) and
-// tests/golden/sim_digests.tsv the simulators (see golden_sim_corpus.hpp).
+// tests/golden/sim_digests.tsv the simulators (see golden_sim_corpus.hpp)
+// and tests/golden/sketch_digests.tsv sketch-mode load accounting (see
+// golden_sketch_corpus.hpp).
 // Each route entry is also routed through route_batch on two threads and
 // must hash to the same segment output.
 #include <gtest/gtest.h>
@@ -12,6 +14,8 @@
 
 #include "golden_corpus.hpp"
 #include "golden_sim_corpus.hpp"
+#include "golden_sketch_corpus.hpp"
+#include "obs/metrics.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace oblivious {
@@ -65,6 +69,23 @@ TEST(GoldenCorpus, EverySimulationMatchesItsDigest) {
   }
   EXPECT_EQ(entries.size(), digests.size())
       << "sim_digests.tsv lists stale entries";
+}
+
+TEST(GoldenCorpus, EverySketchMatchesItsDigest) {
+  obs::set_metrics_enabled(true);
+  if (!obs::metrics_enabled()) {
+    GTEST_SKIP() << "the churn field is read from the compiled-out metrics";
+  }
+  const auto digests = load_digests(OBLV_GOLDEN_SKETCH_DIGESTS);
+  ASSERT_FALSE(digests.empty()) << "cannot read " << OBLV_GOLDEN_SKETCH_DIGESTS;
+  const std::vector<golden::SketchEntry> entries = golden::sketch_entries();
+  for (const golden::SketchEntry& e : entries) {
+    const auto it = digests.find(e.key);
+    ASSERT_NE(it, digests.end()) << "no digest for " << e.key;
+    EXPECT_EQ(e.line(), it->second);
+  }
+  EXPECT_EQ(entries.size(), digests.size())
+      << "sketch_digests.tsv lists stale entries";
 }
 
 }  // namespace
