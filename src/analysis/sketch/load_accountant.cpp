@@ -382,8 +382,13 @@ class SketchAccountant final : public LoadAccountant {
     OBLV_REQUIRE(config.depth >= 1 && config.depth <= 16,
                  "sketch depth must be in [1, 16]");
     OBLV_REQUIRE(config.top_lines >= 1, "sketch top_lines must be >= 1");
-    // Reserve the heavy-line tracker's worst case (slots + map nodes +
-    // lazy heap) so memory_bytes() stays inside sketch_bytes.
+    // Reserve room for the heavy-line tracker so memory_bytes() stays
+    // inside sketch_bytes. Its fixed arrays take 92 bytes per line at 64
+    // lines and under 160 for any top_lines (a 24-byte slot, 8-16 index
+    // entries of 8 bytes, a 4-8 byte tree node), inside this reserve. The
+    // reserve stays at its old size rather than shrinking to match: it
+    // sets the count-min width, and with it every estimate the golden
+    // sketch digests pin.
     const std::size_t reserve = config.top_lines * 192 + 1024;
     const std::size_t row_bytes =
         static_cast<std::size_t>(config.depth) * sizeof(std::uint64_t);

@@ -11,6 +11,8 @@
 #include <new>
 #include <vector>
 
+#include "analysis/sketch/load_accountant.hpp"
+#include "analysis/sketch/stream_account.hpp"
 #include "mesh/mesh.hpp"
 #include "mesh/segment_path.hpp"
 #include "obs/metrics.hpp"
@@ -223,6 +225,37 @@ TEST(AllocCount, SimulateAllocationsDoNotGrowWithMakespan) {
   EXPECT_LE(full_allocs, bounded_allocs + 4)
       << "bounded " << bounded_allocs << ", full " << full_allocs
       << " over " << full.makespan << " steps";
+#endif
+}
+
+// The sketch accountant's per-segment work -- dyadic count-min updates
+// and the heavy-line tracker's add -- runs on arrays sized at
+// construction, so once a pass has filled the tracker (every later add of
+// a new line evicts), charging 4096 routed paths again allocates nothing.
+TEST(AllocCount, SketchAddSegmentsAllocatesNothingSteadyState) {
+#if OBLV_CONTRACTS_ACTIVE
+  GTEST_SKIP() << "contract validators allocate by design";
+#else
+  const bool metrics_were_on = obs::metrics_enabled();
+  obs::set_metrics_enabled(false);
+  const Mesh mesh = Mesh::cube(3, 32);
+  const auto router = make_router(Algorithm::kHierarchicalNd, mesh);
+  const DemandSource source = DemandSource::random_pairs(mesh, 4096, 13);
+  std::vector<SegmentPath> paths(source.size());
+  RouteScratch scratch;
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    const Demand d = source.demand(i);
+    Rng rng = packet_rng(3, i);
+    router->route_segments_into(d.src, d.dst, rng, scratch, paths[i]);
+  }
+  const auto sketch = LoadAccountant::create(mesh, AccountingMode::kSketch);
+  for (const SegmentPath& sp : paths) sketch->add_segments(sp);
+  const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  for (const SegmentPath& sp : paths) sketch->add_segments(sp);
+  const std::uint64_t allocs =
+      g_alloc_count.load(std::memory_order_relaxed) - before;
+  obs::set_metrics_enabled(metrics_were_on);
+  EXPECT_EQ(allocs, 0u);
 #endif
 }
 
