@@ -16,9 +16,16 @@
 // 4 MiB budget while routing the stream (gated: memory cap + throughput
 // floor).
 //
+// Part C (3D 128x128x128, hierarchical-nd): 8192 random pairs streamed on
+// one thread into the default 1 MiB sketch, the shape of perfbench's
+// stream-sketch-3d. About 34 segments per packet, nearly all on lines the
+// 64-slot heavy-line tracker does not hold, so this is where the sketch's
+// per-segment accounting shows (gated: throughput against a baseline).
+//
 // Flags: --packets N (Part A stream, default 100000),
 //        --huge-packets N (Part B stream, default 200000),
-//        --reps N (default 3), --threads N (default 2),
+//        --reps N (Parts A and C, default 3), --threads N (Parts A and B,
+//        default 2),
 //        --metrics-json FILE (also honors OBLV_METRICS_JSON).
 #include <algorithm>
 #include <cstdint>
@@ -155,6 +162,34 @@ void run_huge(std::size_t packets, std::size_t threads) {
         sketch->memory_bytes() <= config.sketch_bytes ? 1.0 : 0.0);
 }
 
+// Part C: the Section 4 router streamed into the default sketch on one
+// thread; each rep draws a stream of its own.
+void run_3d(int reps) {
+  std::cout << "\n-- 3D 128^3: hierarchical-nd streamed into the default "
+               "sketch, 1 thread --\n";
+  constexpr std::size_t kPackets = 8192;
+  const Mesh mesh = Mesh::cube(3, 128);
+  const auto router = make_router(Algorithm::kHierarchicalNd, mesh);
+  auto sketch = LoadAccountant::create(mesh, AccountingMode::kSketch);
+  ThreadPool pool(1);
+  std::vector<double> times;
+  for (int r = 0; r < reps; ++r) {
+    const auto seed = static_cast<std::uint64_t>(r) + 1;
+    StreamAccountOptions options;
+    options.seed = seed;
+    sketch->clear();
+    const StreamAccountResult res = route_and_account(
+        *router, DemandSource::random_pairs(mesh, kPackets, seed), pool,
+        options, *sketch);
+    times.push_back(res.seconds);
+  }
+  const double pps = static_cast<double>(kPackets) / best(times);
+  std::cout << "routed " << kPackets << " packets, best of " << reps << ": "
+            << best(times) * 1e3 << " ms (" << pps << " pkt/s), sketch "
+            << sketch->memory_bytes() << " bytes\n";
+  gauge("sketch.3d128.pkts_per_sec", pps);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -171,10 +206,12 @@ int main(int argc, char** argv) {
   bench::banner("P10 / sketch congestion accounting",
                 "count-min + SpaceSaving load accounting vs the exact "
                 "per-edge array (gate: estimates within the (eps, delta) "
-                "bound on 64x64; 4 MiB budget held on 4096x4096)");
+                "bound on 64x64; 4 MiB budget held on 4096x4096; 3D "
+                "128^3 one-thread throughput)");
 
   run_small(packets, reps, threads);
   run_huge(huge_packets, threads);
+  run_3d(reps);
 
   if (flags.has("metrics-json")) {
     obs::write_metrics_json_file(flags.get("metrics-json", ""),
