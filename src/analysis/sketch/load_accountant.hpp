@@ -98,7 +98,9 @@ class LoadAccountant {
   // An empty accountant of the same mode/mesh/config, for worker shards.
   virtual std::unique_ptr<LoadAccountant> clone_empty() const = 0;
 
-  // C (max edge load); an upper-bound estimate in sketch mode.
+  // C (max edge load). In sketch mode an estimate over the heavy-line
+  // candidates only: an upper bound while the max-load line is tracked,
+  // but it can read below the exact C once that line has been evicted.
   virtual std::uint64_t max_load() const = 0;
   // Per-edge load; never underestimates in sketch mode.
   // \pre e is an edge id of this accountant's mesh.

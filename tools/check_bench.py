@@ -6,8 +6,6 @@ OBLV_METRICS_JSON / --metrics-json) and checks them against the entries of
 a baseline file.  Each check names a metric by path and one of:
 
   * "baseline": fail when value > baseline * (1 + tolerance_pct/100);
-                with "better": "higher" (a throughput), fail when
-                value < baseline * (1 - tolerance_pct/100) instead;
   * "max":      fail when value > max (absolute cap, e.g. an overhead
                 budget or a deterministic upper bound);
   * "min":      fail when value < min (absolute floor, e.g. a
@@ -67,15 +65,6 @@ def run_check(check, value, tolerance_pct):
         return value >= floor, f"value {value} >= min {floor}"
     if "baseline" in check:
         tol = float(check.get("tolerance_pct", tolerance_pct))
-        better = check.get("better", "lower")
-        if better not in ("lower", "higher"):
-            raise KeyError(f"'better' must be 'lower' or 'higher', not '{better}'")
-        if better == "higher":
-            floor = float(check["baseline"]) * (1.0 - tol / 100.0)
-            return value >= floor, (
-                f"value {value} >= baseline {check['baseline']} -{tol}% "
-                f"= {floor:g}"
-            )
         cap = float(check["baseline"]) * (1.0 + tol / 100.0)
         return value <= cap, (
             f"value {value} <= baseline {check['baseline']} +{tol}% = {cap:g}"
