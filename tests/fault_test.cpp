@@ -289,6 +289,46 @@ TEST(FaultBatchParallel, BitIdenticalAcrossThreadCountsAndChunks) {
   }
 }
 
+// Absolute pins of route_batch_with_faults, recorded before it moved onto
+// route_batch's drain loop: the recovery tally plus a hash of every path
+// and status, on 1 and 4 threads. Never regenerate these.
+TEST(FaultBatchParallel, PinnedStatsPathsAndStatuses) {
+  const Mesh mesh({16, 16});
+  Rng wrng(2);
+  const RoutingProblem problem = random_permutation(mesh, wrng);
+  const FaultModel model(mesh, dynamic_config(0.05, 1, 29));
+  const auto inner = make_router(Algorithm::kHierarchical2d, mesh);
+  const FaultAwareRouter wrapped(*inner, model);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    ThreadPool pool(threads);
+    RouteBatchOptions options;
+    options.seed = 7;
+    std::vector<SegmentPath> out;
+    std::vector<FaultRouteStatus> statuses;
+    const FaultBatchStats stats = route_batch_with_faults(
+        wrapped, std::span<const Demand>(problem.demands), pool, options, out,
+        &statuses);
+    std::uint64_t hash = 0;
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      hash = splitmix64(hash ^ static_cast<std::uint64_t>(statuses[i]));
+      hash = splitmix64(hash ^ static_cast<std::uint64_t>(out[i].source));
+      for (const Segment& seg : out[i].segments) {
+        hash = splitmix64(hash ^ static_cast<std::uint64_t>(seg.dim));
+        hash = splitmix64(hash ^ static_cast<std::uint64_t>(seg.run));
+      }
+    }
+    EXPECT_EQ(stats.demands, 256) << threads;
+    EXPECT_EQ(stats.delivered, 195) << threads;
+    EXPECT_EQ(stats.dropped, 61) << threads;
+    EXPECT_EQ(stats.clean, 21) << threads;
+    EXPECT_EQ(stats.retried, 16) << threads;
+    EXPECT_EQ(stats.detoured, 158) << threads;
+    EXPECT_EQ(stats.attempts, 935) << threads;
+    EXPECT_EQ(stats.backoff_steps, 1561) << threads;
+    EXPECT_EQ(hash, 0x207895aeee3b1c5bULL) << threads;
+  }
+}
+
 TEST(FaultOnline, AccountingHoldsUnderDynamicFaults) {
   const Mesh mesh({8, 8});
   Rng wrng(6);

@@ -4,6 +4,7 @@
 // Also pins evaluate_trials to its node-based reference semantics.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "analysis/congestion.hpp"
@@ -81,6 +82,68 @@ TEST(PipelineDeterminism, RouteAndMeasureMetricsThreadCountInvariant) {
   EXPECT_EQ(again.dilation, m1.dilation);
   EXPECT_DOUBLE_EQ(again.max_stretch, m1.max_stretch);
   EXPECT_DOUBLE_EQ(again.mean_stretch, m1.mean_stretch);
+}
+
+// Absolute pins of route_and_measure_parallel, recorded before it was
+// rebuilt on route_and_account: a 32x32 random permutation under exact and
+// sketch accounting (a 64 KiB sketch folded in 128-packet blocks, so eight
+// blocks fold out of order), on 1 and 8 threads. Never regenerate these;
+// a change here means the driver changed what it measures.
+TEST(PipelineDeterminism, RouteAndMeasurePinnedValues) {
+  struct Pin {
+    AccountingMode mode;
+    std::int64_t congestion;
+    std::int64_t dilation;
+    double max_stretch;
+    double mean_stretch;
+    std::size_t accounting_bytes;
+    double error_bound;
+    std::uint64_t path_hash;
+  };
+  const Pin pins[] = {
+      {AccountingMode::kExact, 63, 133, 18.714285714285715,
+       3.3367630129863199, 7936, 0.0, 0x254e7050766ba3d3ULL},
+      {AccountingMode::kSketch, 119, 133, 18.714285714285715,
+       3.3367630129863199, 33480, 459.47457531671796, 0x254e7050766ba3d3ULL},
+  };
+  const Mesh mesh = Mesh::cube(2, 32);
+  Rng wl_rng(11);
+  const RoutingProblem problem = random_permutation(mesh, wl_rng);
+  const auto router = make_router(Algorithm::kHierarchical2d, mesh);
+  const double bound = best_lower_bound(mesh, problem);
+  for (const Pin& pin : pins) {
+    AccountingOptions accounting;
+    accounting.mode = pin.mode;
+    accounting.sketch.sketch_bytes = std::size_t{64} << 10;
+    accounting.sketch.top_lines = 7;
+    accounting.sketch.block_size = 128;
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+      ThreadPool pool(threads);
+      std::vector<SegmentPath> paths;
+      const RouteSetMetrics m = route_and_measure_parallel(
+          mesh, *router, problem, bound, pool, 5, accounting, &paths);
+      std::uint64_t path_hash = 0;
+      for (const SegmentPath& sp : paths) {
+        path_hash =
+            splitmix64(path_hash ^ static_cast<std::uint64_t>(sp.source));
+        for (const Segment& seg : sp.segments) {
+          path_hash =
+              splitmix64(path_hash ^ static_cast<std::uint64_t>(seg.dim));
+          path_hash =
+              splitmix64(path_hash ^ static_cast<std::uint64_t>(seg.run));
+        }
+      }
+      const std::string where = std::string(accounting_mode_name(pin.mode)) +
+                                " t" + std::to_string(threads);
+      EXPECT_EQ(m.congestion, pin.congestion) << where;
+      EXPECT_EQ(m.dilation, pin.dilation) << where;
+      EXPECT_DOUBLE_EQ(m.max_stretch, pin.max_stretch) << where;
+      EXPECT_DOUBLE_EQ(m.mean_stretch, pin.mean_stretch) << where;
+      EXPECT_EQ(m.accounting_bytes, pin.accounting_bytes) << where;
+      EXPECT_DOUBLE_EQ(m.accounting_error_bound, pin.error_bound) << where;
+      EXPECT_EQ(path_hash, pin.path_hash) << where;
+    }
+  }
 }
 
 // measure_segment_paths must agree with measure_paths on the same routes.
