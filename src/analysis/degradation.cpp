@@ -29,7 +29,7 @@ SweepCell run_cell(const Mesh& mesh, const Router& router,
   const FaultAwareRouter fault_router(router, model, options.retry,
                                       /*query_step=*/0);
   cell.stats = route_batch_with_faults(fault_router, problem.demands, pool,
-                                       RouteBatchOptions{options.route_seed, 0},
+                                       RouteBatchOptions{options.route_seed},
                                        paths, &statuses);
   const std::unique_ptr<LoadAccountant> loads = LoadAccountant::create(
       mesh, options.accounting.mode, options.accounting.sketch);

@@ -47,27 +47,28 @@ struct RouteAllOptions {
   bool meter_bits = true;
 };
 
-// Routes every demand independently (obliviously).
+// Routes every demand independently (obliviously): the node-list
+// expansion of route_all_segments_into (same seed, same draw order).
 // \pre every demand's src and dst are node ids of `mesh`.
 std::vector<Path> route_all(const Mesh& mesh, const Router& router,
                             const RoutingProblem& problem,
                             const RouteAllOptions& options,
                             RunningStats* bits_per_packet = nullptr);
 
-// Segment-pipeline twin of route_all: same seed, same draw order, so the
-// returned segment paths describe exactly the same routes -- but without
-// ever materializing node lists.
+// Segment form of route_all, without ever materializing node lists.
 std::vector<SegmentPath> route_all_segments(const Mesh& mesh,
                                             const Router& router,
                                             const RoutingProblem& problem,
                                             const RouteAllOptions& options,
                                             RunningStats* bits_per_packet = nullptr);
 
-// Buffer-reusing core of route_all_segments: routes into `paths` (resized
-// to the problem; surviving entries keep their heap capacity) and threads
-// `scratch` through every packet, so a caller looping over many problems
-// or trials pays no steady-state allocation. Same seed handling and draw
-// order as route_all_segments -- the results are byte-identical.
+// The one serial routing loop. Every packet draws from one
+// Rng(options.seed) stream in demand order -- evaluate, evaluate_trials and
+// the experiment tables pin that order, so it does not run on the
+// counter-stream drivers. Routes into `paths` (resized to the problem;
+// entries keep their heap capacity) and threads `scratch` through every
+// packet, so a caller looping over trials pays no steady-state allocation.
+// \pre every demand's src and dst are node ids of `mesh`.
 void route_all_segments_into(const Mesh& mesh, const Router& router,
                              const RoutingProblem& problem,
                              const RouteAllOptions& options,
@@ -75,24 +76,18 @@ void route_all_segments_into(const Mesh& mesh, const Router& router,
                              std::vector<SegmentPath>& paths,
                              RunningStats* bits_per_packet = nullptr);
 
-// Parallel batch routing: demands are routed concurrently on the pool.
-// Because path selection is oblivious, parallelism is trivially safe; the
-// per-packet rng is derived deterministically from (seed, packet index),
-// so the result is identical for any thread count and chunking -- but it
-// intentionally differs from route_all's single-stream draw order.
-class ThreadPool;
-std::vector<Path> route_all_parallel(const Mesh& mesh, const Router& router,
-                                     const RoutingProblem& problem,
-                                     ThreadPool& pool, std::uint64_t seed);
+// The metrics tail every measuring entry point shares: packets, max
+// distance, dilation and max/mean stretch of `paths` (paths[i] routes
+// problem.demands[i]; each stretch also feeds routing.stretch), and the
+// congestion ratio of `congestion` against `lower_bound`.
+// \pre paths.size() == problem.size().
+RouteSetMetrics path_set_metrics(const Mesh& mesh,
+                                 const RoutingProblem& problem,
+                                 const std::vector<SegmentPath>& paths,
+                                 std::int64_t congestion, double lower_bound);
 
-// Parallel segment routing with the same counter-derived per-packet RNG
-// streams as route_all_parallel (Rng(splitmix64(seed ^ splitmix64(i)))):
-// output is bit-identical for any thread count and chunking.
-std::vector<SegmentPath> route_all_segments_parallel(
-    const Mesh& mesh, const Router& router, const RoutingProblem& problem,
-    ThreadPool& pool, std::uint64_t seed);
-
-// Computes metrics for an existing path set.
+// Metrics for an existing path set: measure_segment_paths of its segment
+// form.
 // \pre paths.size() == problem.size(), one (valid mesh) path per demand.
 RouteSetMetrics measure_paths(const Mesh& mesh, const RoutingProblem& problem,
                               const std::vector<Path>& paths,
@@ -106,22 +101,16 @@ RouteSetMetrics measure_segment_paths(const Mesh& mesh,
                                       const std::vector<SegmentPath>& paths,
                                       double lower_bound);
 
-// Route + account in one parallel pass through a LoadAccountant of the
-// requested mode. Workers claim fixed-size accounting blocks (see
-// SketchConfig::block_size) and hand finished blocks to fold_block, so
-// every reported number -- exact or sketch -- is identical for any thread
-// count and block completion order. When `paths_out` is non-null the
-// selected paths are stored there.
+// Route + account in one parallel pass: route_and_account into a fresh
+// LoadAccountant of the requested mode, keeping every path, then the
+// metrics tail. Every reported number -- exact or sketch -- is identical
+// for any thread count and block completion order (see stream_account.hpp).
+// When `paths_out` is non-null the selected paths are stored there.
+class ThreadPool;
 RouteSetMetrics route_and_measure_parallel(
     const Mesh& mesh, const Router& router, const RoutingProblem& problem,
     double lower_bound, ThreadPool& pool, std::uint64_t seed,
-    const AccountingOptions& accounting,
-    std::vector<SegmentPath>* paths_out = nullptr);
-
-// Exact-accounting shorthand for the overload above.
-RouteSetMetrics route_and_measure_parallel(
-    const Mesh& mesh, const Router& router, const RoutingProblem& problem,
-    double lower_bound, ThreadPool& pool, std::uint64_t seed,
+    const AccountingOptions& accounting = {},
     std::vector<SegmentPath>* paths_out = nullptr);
 
 // Route + measure in one call. The congestion lower bound uses the

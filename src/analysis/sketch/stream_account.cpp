@@ -34,12 +34,15 @@ StreamAccountResult route_and_account(const Router& router,
                                       const DemandSource& source,
                                       ThreadPool& pool,
                                       const StreamAccountOptions& options,
-                                      LoadAccountant& accountant) {
+                                      LoadAccountant& accountant,
+                                      std::span<SegmentPath> out) {
   const WallTimer timer;
   const std::size_t n = source.size();
-  std::size_t block_size = options.block_size;
-  if (block_size == 0) block_size = accountant.block_size();
-  OBLV_REQUIRE(block_size >= 1, "stream block_size must be >= 1");
+  const std::size_t block_size = accountant.block_size();
+  OBLV_REQUIRE(block_size >= 1, "accountant block_size must be >= 1");
+  OBLV_REQUIRE(out.empty() || out.size() == n,
+               "the path span must hold one slot per demand");
+  const bool keep_paths = !out.empty();
   StreamAccountResult result;
   result.packets = n;
   result.blocks = (n + block_size - 1) / block_size;
@@ -66,8 +69,9 @@ StreamAccountResult route_and_account(const Router& router,
       for (std::size_t i = begin; i < end; ++i) {
         const Demand d = source.demand(i);
         Rng rng = packet_rng(options.seed, i);
-        router.route_segments_into(d.src, d.dst, rng, scratch, sp);
-        shard->add_segments(sp);
+        SegmentPath& path = keep_paths ? out[i] : sp;
+        router.route_segments_into(d.src, d.dst, rng, scratch, path);
+        shard->add_segments(path);
       }
       if (per_block_fold) {
         oblv::MutexLock lock(fold_mu);

@@ -1,26 +1,27 @@
 // Streaming route-and-account: congestion accounting for demand sets too
 // large to materialize.
 //
-// route_and_account never stores demands or paths: a DemandSource yields
-// demand i as a pure function of i (a borrowed span, or counter-derived
-// random pairs), each packet is routed with the shared (seed, index) rng
-// stream and charged straight into a LoadAccountant, and the paths are
-// dropped. Peak memory is O(workers * accountant size) regardless of the
-// packet count -- with a sketch accountant, 10^8 packets on a 10^9-edge
-// mesh fit in a few megabytes.
+// route_and_account never stores demands: a DemandSource yields demand i
+// as a pure function of i (a borrowed span, or counter-derived random
+// pairs), each packet is routed with the shared (seed, index) rng stream
+// and charged straight into a LoadAccountant, and the paths are dropped
+// unless the caller passes a span to keep them. Without one, peak memory
+// is O(workers * accountant size) regardless of the packet count -- with a
+// sketch accountant, 10^8 packets on a 10^9-edge mesh fit in a few
+// megabytes.
 //
-// Determinism: work is claimed in fixed-size blocks (independent of the
-// thread count) and finished blocks are handed to fold_block under a
-// mutex, so the accountant's final state is bit-identical for any pool
-// size and block completion order.
+// Determinism: work is claimed in blocks of accountant.block_size()
+// packets (independent of the thread count) and finished blocks are
+// handed to fold_block under a mutex, so the accountant's final state is
+// bit-identical for any pool size and block completion order.
 #pragma once
 
 #include <cstdint>
-
 #include <span>
 
 #include "analysis/sketch/load_accountant.hpp"
 #include "mesh/mesh.hpp"
+#include "mesh/segment_path.hpp"
 #include "routing/router.hpp"
 #include "workloads/problem.hpp"
 
@@ -63,9 +64,6 @@ class DemandSource {
 
 struct StreamAccountOptions {
   std::uint64_t seed = 1;
-  // Packets per accounting block (the deterministic fold granularity).
-  // 0 picks the accountant's configured SketchConfig::block_size.
-  std::size_t block_size = 0;
 };
 
 struct StreamAccountResult {
@@ -75,14 +73,17 @@ struct StreamAccountResult {
 };
 
 // Routes every demand of `source` with the shared counter-derived rng
-// stream (packet_rng(seed, i)) and charges it into `accountant`.
+// stream (packet_rng(seed, i)) and charges it into `accountant`. With a
+// non-empty `out`, packet i is routed into out[i] and kept there.
 // Deterministic for any thread count; see the file comment.
 // \pre every demand's endpoints are node ids of the router's mesh, which
-//      is also the accountant's mesh.
+//      is also the accountant's mesh; `out` is empty or holds one slot per
+//      demand.
 StreamAccountResult route_and_account(const Router& router,
                                       const DemandSource& source,
                                       ThreadPool& pool,
                                       const StreamAccountOptions& options,
-                                      LoadAccountant& accountant);
+                                      LoadAccountant& accountant,
+                                      std::span<SegmentPath> out = {});
 
 }  // namespace oblivious

@@ -51,18 +51,12 @@ TrialSummary evaluate_trials(const Mesh& mesh, const Router& router,
       route_all_segments_into(mesh, router, problem, options, scratch, paths);
       loads->clear();
       loads->add_segment_paths(paths);
-      local.congestion.add(static_cast<double>(loads->max_load()));
-      std::int64_t dilation = 0;
-      double max_stretch = 1.0;
-      for (std::size_t i = 0; i < paths.size(); ++i) {
-        dilation = std::max(dilation, paths[i].length());
-        if (problem.demands[i].src != problem.demands[i].dst) {
-          max_stretch =
-              std::max(max_stretch, segment_path_stretch(mesh, paths[i]));
-        }
-      }
-      local.dilation.add(static_cast<double>(dilation));
-      local.max_stretch.add(max_stretch);
+      const RouteSetMetrics m = path_set_metrics(
+          mesh, problem, paths, static_cast<std::int64_t>(loads->max_load()),
+          summary.lower_bound);
+      local.congestion.add(static_cast<double>(m.congestion));
+      local.dilation.add(static_cast<double>(m.dilation));
+      local.max_stretch.add(m.max_stretch);
       if (track_expected) {
         for (EdgeId e = 0; e < mesh.num_edges(); ++e) {
           local_sums[static_cast<std::size_t>(e)] +=
@@ -71,7 +65,7 @@ TrialSummary evaluate_trials(const Mesh& mesh, const Router& router,
       }
       if (obs_on) {
         trial_seconds.add(trial_timer.elapsed_seconds());
-        congestion_hist.add(static_cast<std::int64_t>(loads->max_load()));
+        congestion_hist.add(m.congestion);
       }
     }
     if (obs_on) {

@@ -37,7 +37,7 @@ SegmentRoutingRun ObliviousMeshRouting::route_segments(
   SegmentRoutingRun run;
   run.metrics = route_and_measure_parallel(mesh_, *router_, problem,
                                            best_lower_bound(mesh_, problem),
-                                           pool, seed, &run.paths);
+                                           pool, seed, {}, &run.paths);
   return run;
 }
 

@@ -1,12 +1,9 @@
-// Fault-aware twin of the chunked batch routing driver.
-//
-// route_batch_with_faults drives a FaultAwareRouter over a demand array
-// with the exact scheme of parallel/route_batch.cpp -- atomic chunk
-// cursor, per-worker RouteScratch, per-packet rng streams derived from
-// (seed, index) -- and additionally records each packet's recovery
-// outcome. Because both the fault schedule and the packet streams are
-// counter-derived, the produced paths AND the per-packet statuses are
-// bit-identical for any thread count, chunk size, and claim order.
+// Fault-aware batch routing: route_batch's drain loop (drain_batch in
+// parallel/route_batch.hpp) with FaultAwareRouter::route_segments_with_faults
+// as the per-packet call, keeping each packet's recovery outcome. Because
+// both the fault schedule and the packet streams are counter-derived, the
+// produced paths AND the per-packet statuses are bit-identical for any
+// thread count and claim order.
 //
 // Accounting contract: every demand is either delivered (clean, retried,
 // or detoured) or dropped -- delivered + dropped == demands.size() is
@@ -18,17 +15,14 @@
 #include <vector>
 
 #include "fault/fault_router.hpp"
-#include "mesh/path.hpp"
 #include "mesh/segment_path.hpp"
 #include "parallel/route_batch.hpp"
 #include "workloads/problem.hpp"
 
 namespace oblivious {
 
-class ThreadPool;
-
-// Deterministic batch-level recovery tally (integer sums only: the merge
-// order across workers cannot change the result).
+// Deterministic batch-level recovery tally: integer sums over the
+// per-packet outcomes, reduced after the batch.
 struct FaultBatchStats {
   std::int64_t demands = 0;    // packets presented to the router
   std::int64_t delivered = 0;  // clean + retried + detoured
@@ -49,14 +43,6 @@ FaultBatchStats route_batch_with_faults(
     const FaultAwareRouter& router, std::span<const Demand> demands,
     ThreadPool& pool, const RouteBatchOptions& options,
     std::vector<SegmentPath>& out,
-    std::vector<FaultRouteStatus>* statuses = nullptr);
-
-// Node-list twin (same rng streams, same statuses).
-// \pre every demand's endpoints are node ids of the router's mesh.
-FaultBatchStats route_batch_paths_with_faults(
-    const FaultAwareRouter& router, std::span<const Demand> demands,
-    ThreadPool& pool, const RouteBatchOptions& options,
-    std::vector<Path>& out,
     std::vector<FaultRouteStatus>* statuses = nullptr);
 
 }  // namespace oblivious

@@ -1,12 +1,6 @@
 #include "parallel/route_batch.hpp"
 
-#include <algorithm>
-#include <atomic>
-
-#include "obs/metrics.hpp"
-#include "parallel/thread_pool.hpp"
 #include "util/check.hpp"
-#include "util/timer.hpp"
 
 namespace oblivious {
 
@@ -35,79 +29,56 @@ template <typename OutT>
 void run_batch(const Router& router, std::span<const Demand> demands,
                ThreadPool& pool, const RouteBatchOptions& options,
                std::vector<OutT>& out) {
-  const Mesh& mesh = router.mesh();
-  if (options.validate_demands) {
-    for (const Demand& demand : demands) {
-      OBLV_REQUIRE(demand.src >= 0 && demand.src < mesh.num_nodes() &&
-                       demand.dst >= 0 && demand.dst < mesh.num_nodes(),
-                   "demand endpoints must be mesh nodes");
-    }
+  if (options.validate_demands) require_mesh_endpoints(router.mesh(), demands);
+  out.resize(demands.size());
+  drain_batch(demands.size(), pool, options.seed,
+              [&](std::size_t i, Rng& rng, RouteScratch& scratch)
+                  -> const OutT& {
+                route_one(router, demands[i], rng, scratch, out[i]);
+                check_endpoints(out[i], demands[i]);
+                return out[i];
+              });
+}
+
+}  // namespace
+
+void require_mesh_endpoints(const Mesh& mesh,
+                            std::span<const Demand> demands) {
+  for (const Demand& demand : demands) {
+    OBLV_REQUIRE(demand.src >= 0 && demand.src < mesh.num_nodes() &&
+                     demand.dst >= 0 && demand.dst < mesh.num_nodes(),
+                 "demand endpoints must be mesh nodes");
   }
-  const std::size_t n = demands.size();
-  out.resize(n);
-  if (n == 0) return;
+}
 
-  WallTimer timer;
-  const std::size_t workers = std::max<std::size_t>(1, pool.num_threads());
+namespace detail {
 
-  // ~8 chunks per worker: small enough to steal tail work, large enough
-  // to keep the cursor off the hot path.
-  const std::size_t chunk = options.chunk_size != 0
-                                ? options.chunk_size
-                                : std::max<std::size_t>(1, n / (workers * 8));
+ChunkCursor::ChunkCursor(std::size_t n, std::size_t workers)
+    : n_(n), chunk_(std::max<std::size_t>(1, n / (workers * 8))) {}
+
+bool ChunkCursor::claim(std::size_t& begin, std::size_t& end) {
   // Lock-free by design (DESIGN.md section 13): the cursor is the only
   // shared mutable state in the batch loop -- every output slot and
   // scratch buffer is owned by exactly one worker per chunk claim, so
   // there is nothing for a mutex (or a GUARDED_BY annotation) to guard.
   // Relaxed suffices: fetch_add's atomicity alone partitions [0, n).
-  std::atomic<std::size_t> cursor{0};
-
-  const auto drain = [&]() {
-    RouteScratch scratch;
-    const bool obs_on = obs::metrics_enabled();
-    IntHistogram path_lengths;
-    std::size_t routed = 0;
-    std::size_t chunks = 0;
-    for (;;) {
-      const std::size_t begin =
-          cursor.fetch_add(chunk, std::memory_order_relaxed);
-      if (begin >= n) break;
-      const std::size_t end = std::min(n, begin + chunk);
-      for (std::size_t i = begin; i < end; ++i) {
-        const Demand& demand = demands[i];
-        Rng rng = packet_rng(options.seed, i);
-        route_one(router, demand, rng, scratch, out[i]);
-        check_endpoints(out[i], demand);
-        if (obs_on && path_length_sampled(i)) {
-          path_lengths.add(out[i].length(), kPathLengthSampleStride);
-        }
-      }
-      routed += end - begin;
-      ++chunks;
-    }
-    // Per-worker tallies are flushed in one registry visit per worker, into
-    // its own thread-local shard.
-    if (!obs_on || chunks == 0) return;
-    OBLV_COUNTER_ADD("routing.batch.chunks", chunks);
-    IntHistogram per_worker;
-    per_worker.add(static_cast<std::int64_t>(routed));
-    OBLV_HISTOGRAM_MERGE("routing.batch.packets_per_worker", per_worker);
-    OBLV_COUNTER_ADD("routing.packets", routed);
-    OBLV_HISTOGRAM_MERGE("routing.path_length", path_lengths);
-  };
-
-  if (workers == 1) {
-    drain();
-  } else {
-    for (std::size_t w = 0; w < workers; ++w) {
-      pool.submit(drain);
-    }
-    pool.wait_idle();
-  }
-  OBLV_STAT_RECORD("routing.route_seconds", timer.elapsed_seconds());
+  begin = next_.fetch_add(chunk_, std::memory_order_relaxed);
+  if (begin >= n_) return false;
+  end = std::min(n_, begin + chunk_);
+  return true;
 }
 
-}  // namespace
+void record_worker_metrics(std::size_t routed, std::size_t chunks,
+                           const IntHistogram& path_lengths) {
+  OBLV_COUNTER_ADD("routing.batch.chunks", chunks);
+  IntHistogram per_worker;
+  per_worker.add(static_cast<std::int64_t>(routed));
+  OBLV_HISTOGRAM_MERGE("routing.batch.packets_per_worker", per_worker);
+  OBLV_COUNTER_ADD("routing.packets", routed);
+  OBLV_HISTOGRAM_MERGE("routing.path_length", path_lengths);
+}
+
+}  // namespace detail
 
 void route_batch(const Router& router, std::span<const Demand> demands,
                  ThreadPool& pool, const RouteBatchOptions& options,

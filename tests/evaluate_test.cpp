@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/evaluate.hpp"
+#include "parallel/route_batch.hpp"
 #include "parallel/thread_pool.hpp"
 #include "routing/registry.hpp"
 #include "workloads/generators.hpp"
@@ -72,15 +73,19 @@ TEST(RouteAll, BitStatsCollected) {
 }
 
 TEST(RouteAllParallel, MatchesAcrossThreadCounts) {
-  // Oblivious selection: per-packet seeds make the result independent of
-  // chunking and thread count.
+  // Oblivious selection: per-packet seeds make the batch driver's node
+  // paths independent of chunking and thread count.
   const Mesh m({16, 16});
   const auto router = make_router(Algorithm::kHierarchical2d, m);
   const RoutingProblem problem = transpose(m);
   ThreadPool serial(1);
   ThreadPool wide(4);
-  const auto a = route_all_parallel(m, *router, problem, serial, 99);
-  const auto b = route_all_parallel(m, *router, problem, wide, 99);
+  RouteBatchOptions options;
+  options.seed = 99;
+  std::vector<Path> a;
+  std::vector<Path> b;
+  route_batch_paths(*router, problem.demands, serial, options, a);
+  route_batch_paths(*router, problem.demands, wide, options, b);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].nodes, b[i].nodes) << i;
@@ -92,8 +97,13 @@ TEST(RouteAllParallel, ValidPathsAndSeedSensitivity) {
   const auto router = make_router(Algorithm::kValiant, m);
   const RoutingProblem problem = transpose(m);
   ThreadPool pool(2);
-  const auto a = route_all_parallel(m, *router, problem, pool, 1);
-  const auto b = route_all_parallel(m, *router, problem, pool, 2);
+  RouteBatchOptions options;
+  std::vector<Path> a;
+  std::vector<Path> b;
+  options.seed = 1;
+  route_batch_paths(*router, problem.demands, pool, options, a);
+  options.seed = 2;
+  route_batch_paths(*router, problem.demands, pool, options, b);
   bool any_different = false;
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_TRUE(is_valid_path(m, a[i]));

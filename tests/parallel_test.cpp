@@ -85,7 +85,8 @@ TEST(ParallelFor, ZeroCountIsNoop) {
 // The batch driver claims chunks through an atomic cursor, so the claim
 // order is racy by design -- but the per-packet rng streams depend only on
 // (seed, index), so the output must be bit-identical for every thread
-// count and chunk size, and identical to a plain sequential loop.
+// count (and with it every chunk size, which follows the thread count),
+// and identical to a plain sequential loop.
 TEST(ParallelRouteBatch, BitIdenticalAcrossThreadCountsAndChunks) {
   const Mesh mesh = Mesh::cube(2, 16);
   Rng wl_rng(3);
@@ -110,16 +111,6 @@ TEST(ParallelRouteBatch, BitIdenticalAcrossThreadCountsAndChunks) {
     route_batch(*router, std::span<const Demand>(problem.demands), pool,
                 options, out);
     EXPECT_EQ(out, reference) << threads << " threads";
-  }
-  // Pathological chunk sizes: one packet per claim, and one giant chunk.
-  for (const std::size_t chunk : {std::size_t{1}, std::size_t{100000}}) {
-    ThreadPool pool(4);
-    RouteBatchOptions opts = options;
-    opts.chunk_size = chunk;
-    std::vector<SegmentPath> out;
-    route_batch(*router, std::span<const Demand>(problem.demands), pool, opts,
-                out);
-    EXPECT_EQ(out, reference) << "chunk " << chunk;
   }
 }
 

@@ -11,6 +11,7 @@
 #include "analysis/evaluate.hpp"
 #include "analysis/trials.hpp"
 #include "core/oblivious_routing.hpp"
+#include "parallel/route_batch.hpp"
 #include "parallel/thread_pool.hpp"
 #include "routing/registry.hpp"
 #include "test_support.hpp"
@@ -28,12 +29,14 @@ TEST(PipelineDeterminism, SegmentRoutingIdenticalAcrossThreadCounts) {
     ThreadPool pool1(1);
     ThreadPool pool2(2);
     ThreadPool pool8(8);
-    const auto paths1 =
-        route_all_segments_parallel(mesh, *router, problem, pool1, 42);
-    const auto paths2 =
-        route_all_segments_parallel(mesh, *router, problem, pool2, 42);
-    const auto paths8 =
-        route_all_segments_parallel(mesh, *router, problem, pool8, 42);
+    RouteBatchOptions options;
+    options.seed = 42;
+    std::vector<SegmentPath> paths1;
+    std::vector<SegmentPath> paths2;
+    std::vector<SegmentPath> paths8;
+    route_batch(*router, problem.demands, pool1, options, paths1);
+    route_batch(*router, problem.demands, pool2, options, paths2);
+    route_batch(*router, problem.demands, pool8, options, paths8);
     ASSERT_EQ(paths1.size(), problem.size());
     EXPECT_EQ(paths1, paths2) << router->name();
     EXPECT_EQ(paths1, paths8) << router->name();
@@ -48,10 +51,12 @@ TEST(PipelineDeterminism, SegmentPipelineMatchesNodeListPipeline) {
   const RoutingProblem problem = random_permutation(mesh, wl_rng);
   const auto router = make_router(Algorithm::kHierarchical2d, mesh);
   ThreadPool pool(2);
-  const std::vector<Path> node_paths =
-      route_all_parallel(mesh, *router, problem, pool, 77);
-  const std::vector<SegmentPath> seg_paths =
-      route_all_segments_parallel(mesh, *router, problem, pool, 77);
+  RouteBatchOptions options;
+  options.seed = 77;
+  std::vector<Path> node_paths;
+  std::vector<SegmentPath> seg_paths;
+  route_batch_paths(*router, problem.demands, pool, options, node_paths);
+  route_batch(*router, problem.demands, pool, options, seg_paths);
   ASSERT_EQ(node_paths.size(), seg_paths.size());
   for (std::size_t i = 0; i < node_paths.size(); ++i) {
     EXPECT_EQ(path_from_segments(mesh, seg_paths[i]).nodes,
@@ -68,7 +73,7 @@ TEST(PipelineDeterminism, RouteAndMeasureMetricsThreadCountInvariant) {
   ThreadPool pool8(8);
   std::vector<SegmentPath> paths;
   const RouteSetMetrics m1 = route_and_measure_parallel(
-      mesh, *router, problem, bound, pool1, 9, &paths);
+      mesh, *router, problem, bound, pool1, 9, {}, &paths);
   const RouteSetMetrics m8 =
       route_and_measure_parallel(mesh, *router, problem, bound, pool8, 9);
   EXPECT_EQ(m1.congestion, m8.congestion);

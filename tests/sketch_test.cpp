@@ -417,15 +417,16 @@ TEST(SketchStream, FromSpanBorrowsDemands) {
 
 TEST(SketchStream, ExactModeMatchesMaterializedRouting) {
   // Streaming with exact accounting must equal routing the same demands
-  // by hand with the same per-packet rng streams.
+  // by hand with the same per-packet rng streams. The stream spans three
+  // accounting blocks (8192 packets each), so several workers fold.
   const Mesh mesh({16, 16});
   const auto router = dim_order_router(mesh);
-  const DemandSource source = DemandSource::random_pairs(mesh, 500, 13);
+  const DemandSource source = DemandSource::random_pairs(mesh, 20000, 13);
   auto streamed = LoadAccountant::create(mesh, AccountingMode::kExact);
+  ASSERT_GT(source.size(), 2 * streamed->block_size());
   ThreadPool pool(4);
   StreamAccountOptions options;
   options.seed = 31;
-  options.block_size = 64;
   route_and_account(*router, source, pool, options, *streamed);
 
   auto manual = LoadAccountant::create(mesh, AccountingMode::kExact);
