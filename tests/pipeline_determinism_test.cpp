@@ -11,6 +11,7 @@
 #include "analysis/evaluate.hpp"
 #include "analysis/trials.hpp"
 #include "core/oblivious_routing.hpp"
+#include "obs/metrics.hpp"
 #include "parallel/route_batch.hpp"
 #include "parallel/thread_pool.hpp"
 #include "routing/registry.hpp"
@@ -150,6 +151,37 @@ TEST(PipelineDeterminism, RouteAndMeasurePinnedValues) {
     }
   }
 }
+
+#if defined(OBLV_METRICS_ENABLED) && OBLV_METRICS_ENABLED
+// route_and_measure_parallel feeds routing.path_length with the sample set
+// every driver shares (every 16th packet, weighted by the stride), so its
+// histogram equals route_batch's on the same packets.
+TEST(PipelineDeterminism, RouteAndMeasureSamplesPathLengthsLikeRouteBatch) {
+  const Mesh mesh = Mesh::cube(2, 16);
+  const RoutingProblem problem = transpose(mesh);
+  const auto router = make_router(Algorithm::kHierarchical2d, mesh);
+  ThreadPool pool(4);
+  const bool was_enabled = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+  registry.reset();
+  (void)route_and_measure_parallel(mesh, *router, problem, 1.0, pool, 3);
+  const obs::HistogramSnapshot measured =
+      registry.snapshot().histograms.at("routing.path_length");
+  registry.reset();
+  RouteBatchOptions options;
+  options.seed = 3;
+  std::vector<SegmentPath> paths;
+  route_batch(*router, problem.demands, pool, options, paths);
+  const obs::HistogramSnapshot batched =
+      registry.snapshot().histograms.at("routing.path_length");
+  registry.reset();
+  obs::set_metrics_enabled(was_enabled);
+  EXPECT_EQ(measured.buckets, batched.buckets);
+  EXPECT_DOUBLE_EQ(measured.sum, batched.sum);
+  EXPECT_EQ(measured.count, problem.size());
+}
+#endif
 
 // measure_segment_paths must agree with measure_paths on the same routes.
 TEST(PipelineDeterminism, MeasureSegmentPathsMatchesMeasurePaths) {
