@@ -123,10 +123,9 @@ RouteSetMetrics measure_paths(const Mesh& mesh, const RoutingProblem& problem,
                               const std::vector<Path>& paths,
                               double lower_bound) {
   OBLV_REQUIRE(paths.size() == problem.size(), "one path per demand required");
-  std::vector<SegmentPath> segment_paths;
-  segment_paths.reserve(paths.size());
-  for (const Path& path : paths) {
-    segment_paths.push_back(segments_from_path(mesh, path));
+  std::vector<SegmentPath> segment_paths(paths.size());
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    segment_paths[i] = segments_from_path(mesh, paths[i]);
   }
   return measure_segment_paths(mesh, problem, segment_paths, lower_bound);
 }

@@ -104,7 +104,8 @@ void record_worker_metrics(std::size_t routed, std::size_t chunks,
 // one); returns when [0, n) is drained. route_packet routes packet i into
 // the caller's slot i and returns that path, whose length feeds the
 // sampled routing.path_length histogram. It is a template parameter, so
-// the per-packet call inlines, and it must not throw (pool tasks cannot).
+// the per-packet call inlines; a throw from it on a pool worker ends the
+// program (ThreadPool tasks must not throw).
 template <typename RoutePacket>
 void drain_batch(std::size_t n, ThreadPool& pool, std::uint64_t seed,
                  RoutePacket&& route_packet) {
