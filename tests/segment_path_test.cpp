@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "analysis/congestion.hpp"
+#include "analysis/sketch/load_accountant.hpp"
 #include "mesh/segment_path.hpp"
 #include "routing/registry.hpp"
 #include "test_support.hpp"
@@ -33,6 +34,34 @@ void expect_same_loads(const Mesh& mesh, const EdgeLoadMap& a,
   for (EdgeId e = 0; e < mesh.num_edges(); ++e) {
     ASSERT_EQ(a.load(e), b.load(e)) << "edge " << e << " of " << mesh.describe();
   }
+}
+
+// Sketch mode over the same hand-built runs: add_segments and add_path
+// must estimate every edge alike, never below the exact load, and count
+// the same hops. The 1 MiB sketch tracks at least every line (top_lines
+// >= num_edges), so no heavy line is evicted.
+void expect_sketch_modes_agree(const Mesh& mesh,
+                               const std::vector<SegmentPath>& cases,
+                               const EdgeLoadMap& exact) {
+  SketchConfig config;
+  config.sketch_bytes = std::size_t{1} << 20;
+  config.top_lines = static_cast<std::size_t>(mesh.num_edges());
+  const auto by_segments =
+      LoadAccountant::create(mesh, AccountingMode::kSketch, config);
+  const auto by_path =
+      LoadAccountant::create(mesh, AccountingMode::kSketch, config);
+  for (const SegmentPath& sp : cases) {
+    by_segments->add_segments(sp);
+    by_path->add_path(path_from_segments(mesh, sp));
+  }
+  for (EdgeId e = 0; e < mesh.num_edges(); ++e) {
+    ASSERT_EQ(by_segments->estimate_load(e), by_path->estimate_load(e))
+        << "edge " << e << " of " << mesh.describe();
+    ASSERT_GE(by_segments->estimate_load(e), exact.load(e))
+        << "edge " << e << " of " << mesh.describe();
+  }
+  EXPECT_EQ(by_segments->total_edge_charges(), exact.total_edge_charges());
+  EXPECT_EQ(by_path->total_edge_charges(), exact.total_edge_charges());
 }
 
 TEST(SegmentPath, AppendMergesSameDirectionRuns) {
@@ -141,6 +170,7 @@ TEST(SegmentPath, TorusWrapAndLapAccounting) {
     by_path.add_path(path_from_segments(mesh, sp));
   }
   expect_same_loads(mesh, by_path, by_segments);
+  expect_sketch_modes_agree(mesh, cases, by_path);
 }
 
 // Side-2 torus dimensions have a single edge per line; every unit step
@@ -159,6 +189,7 @@ TEST(SegmentPath, SideTwoTorusCountsTheSingleEdge) {
   expect_same_loads(mesh, by_path, by_segments);
   // Node (1,0) has id 3; the single dim-0 edge is crossed on both steps.
   EXPECT_EQ(by_segments.load(mesh.edge_between(0, 3)), 2U);
+  expect_sketch_modes_agree(mesh, {sp}, by_path);
 }
 
 // Hierarchical routing on a non-torus mesh exercises truncated bridge
