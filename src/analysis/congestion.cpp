@@ -1,11 +1,9 @@
 #include "analysis/congestion.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "mesh/contracts.hpp"
 #include "obs/metrics.hpp"
-#include "util/bits.hpp"
 #include "util/check.hpp"
 #include "util/contracts.hpp"
 #include "util/simd.hpp"
@@ -56,20 +54,7 @@ inline void add_line(std::int64_t* diff, std::uint32_t* loads,
 }  // namespace
 
 EdgeLoadMap::EdgeLoadMap(const Mesh& mesh)
-    : mesh_(&mesh), loads_(static_cast<std::size_t>(mesh.num_edges()), 0) {
-  const int dim = mesh.dim();
-  line_strides_.assign(static_cast<std::size_t>(dim), {});
-  for (int d = 0; d < dim; ++d) {
-    auto& strides = line_strides_[static_cast<std::size_t>(d)];
-    strides.assign(static_cast<std::size_t>(dim), 0);
-    std::int64_t t = 1;
-    for (int i = dim - 1; i >= 0; --i) {
-      if (i == d) continue;
-      strides[static_cast<std::size_t>(i)] = t;
-      t *= mesh.side(i);
-    }
-  }
-}
+    : mesh_(&mesh), loads_(static_cast<std::size_t>(mesh.num_edges()), 0) {}
 
 void EdgeLoadMap::add_path(const Path& path) {
   // Hop validity is enforced by Mesh::decode_hop's always-on per-hop
@@ -93,27 +78,6 @@ void EdgeLoadMap::add_paths(const std::vector<Path>& paths) {
   for (const Path& p : paths) add_path(p);
 }
 
-std::int64_t EdgeLoadMap::line_index(const Coord& c, int d) const {
-  const auto& strides = line_strides_[static_cast<std::size_t>(d)];
-  std::int64_t line = 0;
-  for (int i = 0; i < mesh_->dim(); ++i) {
-    if (i == d) continue;
-    line += c[static_cast<std::size_t>(i)] * strides[static_cast<std::size_t>(i)];
-  }
-  return line;
-}
-
-void EdgeLoadMap::range_add(int d, std::size_t base, std::int64_t lo,
-                            std::int64_t hi, std::int64_t count) {
-  if (lo >= hi) return;
-  auto& diff = diff_[static_cast<std::size_t>(d)];
-  const std::int64_t radix = mesh_->edge_dim_radix(d);
-  diff[base + static_cast<std::size_t>(lo)] += count;
-  // A range closing at the end of the line needs no closing marker: the
-  // prefix sum stops at radix-1.
-  if (hi < radix) diff[base + static_cast<std::size_t>(hi)] -= count;
-}
-
 void EdgeLoadMap::add_segments(const SegmentPath& sp) {
   OBLV_REQUIRE(!sp.empty(), "cannot account an empty segment path");
   OBLV_EXPECTS(contracts::validate_segment_path(*mesh_, sp),
@@ -133,50 +97,18 @@ void EdgeLoadMap::add_segments(const SegmentPath& sp) {
     }
   }
   dirty_ = true;
-  Coord cur = mesh_->coord(sp.source);
-  for (const Segment& seg : sp.segments) {
-    const int d = seg.dim;
-    const std::size_t dd = static_cast<std::size_t>(d);
-    const std::int64_t side = mesh_->side(d);
-    const std::int64_t radix = mesh_->edge_dim_radix(d);
-    OBLV_REQUIRE(radix > 0, "segment along a side-1 dimension");
-    const std::int64_t k = std::abs(seg.run);
-    const std::size_t base =
-        static_cast<std::size_t>(line_index(cur, d) * radix);
-    if (mesh_->torus() && side > 2) {
-      // Wrapping dimension: whole laps charge the full line, the
-      // remainder is a cyclic range split into at most two pieces.
-      const std::int64_t laps = k / side;
-      if (laps > 0) range_add(d, base, 0, side, laps);
-      const std::int64_t rem = k % side;
-      if (rem > 0) {
-        const std::int64_t start =
-            seg.run > 0 ? cur[dd] : pos_mod(cur[dd] - rem, side);
-        if (start + rem <= side) {
-          range_add(d, base, start, start + rem, 1);
-        } else {
-          range_add(d, base, start, side, 1);
-          range_add(d, base, 0, start + rem - side, 1);
-        }
-      }
-      cur[dd] = pos_mod(cur[dd] + seg.run, side);
-    } else if (mesh_->torus() && side == 2) {
-      // A side-2 torus dimension has a single edge per line (keyed at
-      // coordinate 0); every unit step crosses it.
-      range_add(d, base, 0, 1, k);
-      cur[dd] = pos_mod(cur[dd] + seg.run, side);
-    } else if (seg.run > 0) {
-      OBLV_REQUIRE(cur[dd] + k < side, "segment run leaves the mesh");
-      range_add(d, base, cur[dd], cur[dd] + k, 1);
-      cur[dd] += k;
-    } else {
-      OBLV_REQUIRE(cur[dd] - k >= 0, "segment run leaves the mesh");
-      range_add(d, base, cur[dd] - k, cur[dd], 1);
-      cur[dd] -= k;
-    }
-  }
-  OBLV_CHECK(mesh_->node_id(cur) == sp.dest,
-             "segment path destination mismatch");
+  for_each_line_range(
+      *mesh_, sp,
+      [this](int d, std::int64_t line, std::int64_t lo, std::int64_t hi,
+             std::int64_t count) {
+        auto& diff = diff_[static_cast<std::size_t>(d)];
+        const std::int64_t radix = mesh_->edge_dim_radix(d);
+        const std::size_t base = static_cast<std::size_t>(line * radix);
+        diff[base + static_cast<std::size_t>(lo)] += count;
+        // A range closing at the end of the line needs no closing marker:
+        // the prefix sum stops at radix-1.
+        if (hi < radix) diff[base + static_cast<std::size_t>(hi)] -= count;
+      });
 }
 
 void EdgeLoadMap::add_segment_paths(const std::vector<SegmentPath>& sps) {
@@ -192,10 +124,8 @@ void EdgeLoadMap::flush() const {
     const std::int64_t radix = mesh_->edge_dim_radix(d);
     const std::int64_t lines =
         static_cast<std::int64_t>(diff.size()) / std::max<std::int64_t>(radix, 1);
-    // Suffix stride: edge ids of a line advance by node_stride(d) as the
-    // dimension-d coordinate increments (see Mesh's edge numbering).
+    // Edge ids of a line advance by node_stride(d) (Mesh::line_edge).
     const std::int64_t stride = mesh_->node_stride(d);
-    const EdgeId offset = mesh_->edge_dim_offset(d);
     std::size_t idx = 0;
     if (stride == 1) {
       // Innermost dimension: the line's edges are contiguous, so after
@@ -208,14 +138,13 @@ void EdgeLoadMap::flush() const {
           diff[idx + static_cast<std::size_t>(pos)] = running;
         }
         add_line(diff.data() + idx,
-                 loads_.data() + static_cast<std::size_t>(offset + line * radix),
+                 loads_.data() +
+                     static_cast<std::size_t>(mesh_->line_edge(d, line, 0)),
                  radix);
       }
     } else {
       for (std::int64_t line = 0; line < lines; ++line) {
-        const std::int64_t a = line / stride;
-        const std::int64_t b = line % stride;
-        const std::int64_t edge_base = offset + (a * radix) * stride + b;
+        const EdgeId edge_base = mesh_->line_edge(d, line, 0);
         std::int64_t running = 0;
         for (std::int64_t pos = 0; pos < radix; ++pos, ++idx) {
           running += diff[idx];

@@ -7,7 +7,8 @@
 // Two ingestion paths:
 //  * add_path walks a node-list path hop by hop (O(path length));
 //  * add_segments charges a SegmentPath with one difference-array range
-//    update per straight run (O(#segments)), deferring the per-edge
+//    update per line range that for_each_line_range (segment_path.hpp)
+//    splits its runs into (O(#segments)), deferring the per-edge
 //    materialization to a single prefix-sum flush. The flush happens
 //    lazily on first read, so interleaving add_path / add_segments /
 //    queries stays correct.
@@ -32,8 +33,9 @@ class EdgeLoadMap {
   void add_path(const Path& path);
   void add_paths(const std::vector<Path>& paths);
 
-  // O(#segments): each straight run becomes one range bump in a per-axis
-  // difference array; a lap of a torus dimension charges the whole line.
+  // O(#segments): each line range of for_each_line_range becomes one
+  // range bump in a per-axis difference array (line-major, indexed by
+  // Mesh::line_index); a lap of a torus dimension charges the whole line.
   // \pre `sp` is a non-empty valid segment path of this map's mesh.
   void add_segments(const SegmentPath& sp);
   void add_segment_paths(const std::vector<SegmentPath>& sps);
@@ -82,14 +84,6 @@ class EdgeLoadMap {
   IntHistogram histogram() const;
 
  private:
-  // +count on positions [lo, hi) of the dimension-d line starting at
-  // diff index `base`.
-  void range_add(int d, std::size_t base, std::int64_t lo, std::int64_t hi,
-                 std::int64_t count);
-  // Mixed-radix index of the dimension-d line through coordinate `c`
-  // (the coordinate with dimension d removed).
-  std::int64_t line_index(const Coord& c, int d) const;
-
   const Mesh* mesh_;
   std::uint64_t segments_charged_ = 0;
   std::uint64_t paths_added_ = 0;
@@ -106,9 +100,6 @@ class EdgeLoadMap {
   // Memoized max_load (valid for an empty map); every mutator invalidates.
   mutable std::uint32_t max_cache_ = 0;
   mutable bool max_valid_ = true;
-  // line_strides_[d][i]: contribution of coordinate i to the line index
-  // of dimension d (line_strides_[d][d] is unused and 0).
-  std::vector<std::vector<std::int64_t>> line_strides_;
 };
 
 namespace contracts {

@@ -135,17 +135,16 @@ RouteSetMetrics measure_segment_paths(const Mesh& mesh,
                                       const std::vector<SegmentPath>& paths,
                                       double lower_bound) {
   OBLV_REQUIRE(paths.size() == problem.size(), "one path per demand required");
-  // oblv-lint: allow(D010) measure_segment_paths is exact by contract --
-  // its conservation ENSURES needs the materialized per-edge loads.
-  EdgeLoadMap loads(mesh);
-  loads.add_segment_paths(paths);
-  OBLV_ENSURES(contracts::validate_load_map_consistency(loads),
+  const std::unique_ptr<LoadAccountant> loads =
+      LoadAccountant::create(mesh, AccountingMode::kExact);
+  loads->add_segment_paths(paths);
+  OBLV_ENSURES(contracts::validate_load_map_consistency(*loads->exact_loads()),
                "segment accounting must agree with the hop count");
   const RouteSetMetrics m = path_set_metrics(
-      mesh, problem, paths, static_cast<std::int64_t>(loads.max_load()),
+      mesh, problem, paths, static_cast<std::int64_t>(loads->max_load()),
       lower_bound);
   if (obs::metrics_enabled()) {
-    loads.record_metrics("loads");
+    loads->record_metrics("loads");
     record_quality_gauges(m);
   }
   return m;

@@ -124,9 +124,8 @@ class SketchAccountant final : public LoadAccountant {
     for (int d = 0; d < dim; ++d) {
       DimGeometry& g = geom_[static_cast<std::size_t>(d)];
       g.radix = mesh.edge_dim_radix(d);
-      g.stride = mesh.node_stride(d);
-      g.offset = mesh.edge_dim_offset(d);
-      const std::int64_t dim_edges = mesh.edge_dim_offset(d + 1) - g.offset;
+      const std::int64_t dim_edges =
+          mesh.edge_dim_offset(d + 1) - mesh.edge_dim_offset(d);
       g.lines = g.radix > 0 ? dim_edges / g.radix : 0;
       g.universe = g.radix > 0
                        ? std::bit_ceil(static_cast<std::uint64_t>(g.radix))
@@ -137,15 +136,6 @@ class SketchAccountant final : public LoadAccountant {
       for (int l = 0; l < g.levels; ++l) {
         g.level_key_base[static_cast<std::size_t>(l)] = key_base;
         key_base += static_cast<std::uint64_t>(g.lines) * (g.universe >> l);
-      }
-      // Mixed-radix strides of the dimension-d line index (coordinate d
-      // removed), matching EdgeLoadMap's numbering.
-      g.line_strides.assign(static_cast<std::size_t>(dim), 0);
-      std::int64_t t = 1;
-      for (int i = dim - 1; i >= 0; --i) {
-        if (i == d) continue;
-        g.line_strides[static_cast<std::size_t>(i)] = t;
-        t *= mesh.side(i);
       }
     }
   }
@@ -159,49 +149,15 @@ class SketchAccountant final : public LoadAccountant {
     segments_charged_ += sp.segments.size();
     edge_charges_ += static_cast<std::uint64_t>(sp.length());
     invalidate();
-    Coord cur = mesh_->coord(sp.source);
-    for (const Segment& seg : sp.segments) {
-      const int d = seg.dim;
-      const std::size_t dd = static_cast<std::size_t>(d);
-      const std::int64_t side = mesh_->side(d);
-      const std::int64_t radix = geom_[dd].radix;
-      OBLV_REQUIRE(radix > 0, "segment along a side-1 dimension");
-      const std::int64_t k = std::abs(seg.run);
-      const std::int64_t line = line_index(cur, d);
-      if (mesh_->torus() && side > 2) {
-        const std::int64_t laps = k / side;
-        if (laps > 0) {
-          range_update(d, line, 0, side, static_cast<std::uint64_t>(laps));
-        }
-        const std::int64_t rem = k % side;
-        if (rem > 0) {
-          const std::int64_t start =
-              seg.run > 0 ? cur[dd] : pos_mod(cur[dd] - rem, side);
-          if (start + rem <= side) {
-            range_update(d, line, start, start + rem, 1);
-          } else {
-            range_update(d, line, start, side, 1);
-            range_update(d, line, 0, start + rem - side, 1);
-          }
-        }
-        cur[dd] = pos_mod(cur[dd] + seg.run, side);
-      } else if (mesh_->torus() && side == 2) {
-        // One edge per line, keyed at position 0; every step crosses it.
-        range_update(d, line, 0, 1, static_cast<std::uint64_t>(k));
-        cur[dd] = pos_mod(cur[dd] + seg.run, side);
-      } else if (seg.run > 0) {
-        OBLV_REQUIRE(cur[dd] + k < side, "segment run leaves the mesh");
-        range_update(d, line, cur[dd], cur[dd] + k, 1);
-        cur[dd] += k;
-      } else {
-        OBLV_REQUIRE(cur[dd] - k >= 0, "segment run leaves the mesh");
-        range_update(d, line, cur[dd] - k, cur[dd], 1);
-        cur[dd] -= k;
-      }
-      ss_.add(line_key(d, line), static_cast<std::uint64_t>(k));
-    }
-    OBLV_CHECK(mesh_->node_id(cur) == sp.dest,
-               "segment path destination mismatch");
+    for_each_line_range(
+        *mesh_, sp,
+        [this](int d, std::int64_t line, std::int64_t lo, std::int64_t hi,
+               std::int64_t count) {
+          range_update(d, line, lo, hi, static_cast<std::uint64_t>(count));
+        },
+        [this](int d, std::int64_t line, std::int64_t k) {
+          ss_.add(line_key(d, line), static_cast<std::uint64_t>(k));
+        });
   }
 
   void add_path(const Path& path) override {
@@ -215,7 +171,7 @@ class SketchAccountant final : public LoadAccountant {
     for (std::size_t i = 0; i + 1 < path.nodes.size(); ++i) {
       const Mesh::Hop hop =
           mesh_->decode_hop(cur, path.nodes[i + 1] - path.nodes[i]);
-      const std::int64_t line = line_index(cur, hop.dim);
+      const std::int64_t line = mesh_->line_index(cur, hop.dim);
       range_update(hop.dim, line, hop.lower, hop.lower + 1, 1);
       ss_.add(line_key(hop.dim, line), 1);
     }
@@ -285,19 +241,8 @@ class SketchAccountant final : public LoadAccountant {
   }
 
   std::uint64_t estimate_load(EdgeId e) const override {
-    OBLV_REQUIRE(e >= 0 && e < mesh_->num_edges(), "edge id out of range");
-    // Invert the mesh's edge numbering: within dimension d, the edge ids
-    // of a line advance by node_stride(d), and line a*stride+b starts at
-    // offset + (a*radix)*stride + b (see EdgeLoadMap::flush).
-    int d = mesh_->dim() - 1;
-    while (d > 0 && e < geom_[static_cast<std::size_t>(d)].offset) --d;
-    const DimGeometry& g = geom_[static_cast<std::size_t>(d)];
-    const std::int64_t rel = e - g.offset;
-    const std::int64_t a = rel / (g.radix * g.stride);
-    const std::int64_t rem = rel % (g.radix * g.stride);
-    const std::int64_t pos = rem / g.stride;
-    const std::int64_t line = a * g.stride + rem % g.stride;
-    return point_estimate(d, line, pos);
+    const Mesh::LinePos at = mesh_->edge_line(e);
+    return point_estimate(at.dim, at.line, at.pos);
   }
 
   std::int64_t load_quantile(double q) const override {
@@ -370,12 +315,9 @@ class SketchAccountant final : public LoadAccountant {
   struct DimGeometry {
     std::int64_t radix = 0;   // edge positions per line
     std::int64_t lines = 0;
-    std::int64_t stride = 0;  // intra-line edge id stride (node_stride)
-    EdgeId offset = 0;        // first edge id of the dimension
     std::uint64_t universe = 1;  // radix padded to a power of two
     int levels = 1;
     std::vector<std::uint64_t> level_key_base;
-    std::vector<std::int64_t> line_strides;
   };
 
   static std::size_t choose_width(const SketchConfig& config) {
@@ -431,17 +373,6 @@ class SketchAccountant final : public LoadAccountant {
            static_cast<std::uint64_t>(d);
   }
 
-  std::int64_t line_index(const Coord& c, int d) const {
-    const auto& strides = geom_[static_cast<std::size_t>(d)].line_strides;
-    std::int64_t line = 0;
-    for (int i = 0; i < mesh_->dim(); ++i) {
-      if (i == d) continue;
-      line += c[static_cast<std::size_t>(i)] *
-              strides[static_cast<std::size_t>(i)];
-    }
-    return line;
-  }
-
   std::uint64_t key_at(const DimGeometry& g, int level, std::int64_t line,
                        std::int64_t p) const {
     return g.level_key_base[static_cast<std::size_t>(level)] +
@@ -453,7 +384,6 @@ class SketchAccountant final : public LoadAccountant {
   // most 2*log2(universe) conservative dyadic counter updates.
   void range_update(int d, std::int64_t line, std::int64_t lo, std::int64_t hi,
                     std::uint64_t count) {
-    if (lo >= hi) return;
     const DimGeometry& g = geom_[static_cast<std::size_t>(d)];
     dyadic_decompose(lo, hi, [&](int level, std::int64_t p) {
       cm_.add_conservative(key_at(g, level, line, p), count);
@@ -499,10 +429,11 @@ class SketchAccountant final : public LoadAccountant {
         const std::int64_t idx = static_cast<std::int64_t>(
             splitmix64(sample_seed + static_cast<std::uint64_t>(i)) %
             static_cast<std::uint64_t>(num_edges));
-        int d = mesh_->dim() - 1;
-        while (d > 0 && idx < geom_[static_cast<std::size_t>(d)].offset) --d;
+        // Line-major decode (not Mesh::edge_line): the sampled set of
+        // (line, pos) slots, and so every sampled quantile, is pinned.
+        const int d = mesh_->edge_dim(idx);
         const DimGeometry& g = geom_[static_cast<std::size_t>(d)];
-        const std::int64_t rel = idx - g.offset;
+        const std::int64_t rel = idx - mesh_->edge_dim_offset(d);
         h.add(static_cast<std::int64_t>(
             point_estimate(d, rel / g.radix, rel % g.radix)));
       }

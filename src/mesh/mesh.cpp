@@ -48,6 +48,16 @@ Mesh::Mesh(std::vector<std::int64_t> sides, bool torus)
       edge_strides_[d * dims + i] = edge_strides_[d * dims + i + 1] * radix;
     }
   }
+
+  line_strides_.assign(dims * dims, 0);
+  for (std::size_t d = 0; d < dims; ++d) {
+    std::int64_t stride = 1;
+    for (std::size_t i = dims; i-- > 0;) {
+      if (i == d) continue;
+      line_strides_[d * dims + i] = stride;
+      stride *= sides_[i];
+    }
+  }
 }
 
 Mesh Mesh::cube(int dim, std::int64_t side, bool torus) {
@@ -222,6 +232,16 @@ int Mesh::edge_dim(EdgeId e) const {
     if (e < edge_offsets_[static_cast<std::size_t>(d) + 1]) return d;
   }
   OBLV_UNREACHABLE("edge id not in any dimension range");
+}
+
+Mesh::LinePos Mesh::edge_line(EdgeId e) const {
+  const int d = edge_dim(e);
+  const std::size_t dd = static_cast<std::size_t>(d);
+  const std::int64_t stride = node_strides_[dd];
+  const std::int64_t span = edge_dim_radix_[dd] * stride;  // edges per a
+  const std::int64_t rel = e - edge_offsets_[dd];
+  const std::int64_t rem = rel % span;
+  return {d, rel / span * stride + rem % stride, rem / stride};
 }
 
 std::int64_t Mesh::boundary_edge_count(const Region& r) const {

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "mesh/types.hpp"
+#include "util/bits.hpp"
 #include "util/check.hpp"
 
 namespace oblivious {
@@ -89,6 +90,35 @@ class Mesh {
   // Dimension an edge runs along.
   int edge_dim(EdgeId e) const;
 
+  // --- lines ----------------------------------------------------------------
+  // A dimension-d line is the set of nodes that differ only in coordinate
+  // d; its edges sit at positions 0..edge_dim_radix(d)-1 (the coordinate
+  // of the edge's lower endpoint; a side-2 torus line has one edge, at 0).
+  // The lines of dimension d are numbered by the other coordinates in
+  // row-major mixed radix; edge ids along a line advance by node_stride(d).
+  struct LinePos {
+    int dim = 0;
+    std::int64_t line = 0;
+    std::int64_t pos = 0;
+  };
+  // Index of the dimension-d line through coordinate `c`.
+  std::int64_t line_index(const Coord& c, int d) const {
+    const std::int64_t* strides =
+        &line_strides_[static_cast<std::size_t>(d) * sides_.size()];
+    std::int64_t line = 0;
+    for (std::size_t i = 0; i < sides_.size(); ++i) line += c[i] * strides[i];
+    return line;
+  }
+  // Edge at position `pos` of dimension-d line `line`.
+  EdgeId line_edge(int d, std::int64_t line, std::int64_t pos) const {
+    const std::size_t dd = static_cast<std::size_t>(d);
+    const std::int64_t stride = node_strides_[dd];
+    return edge_offsets_[dd] +
+           (line / stride * edge_dim_radix_[dd] + pos) * stride + line % stride;
+  }
+  // Inverse of line_edge. \pre e is an edge id of this mesh (throws).
+  LinePos edge_line(EdgeId e) const;
+
   // --- incremental walks ----------------------------------------------------
   // One hop of a node path.
   struct Hop {
@@ -115,6 +145,22 @@ class Mesh {
       if (i != d) e += cur[i] * strides[i];
     }
     return e;
+  }
+  // Moves `cur` `run` unit steps along dimension d (direction sign(run)),
+  // wrapping on the torus. Returns false, leaving `cur` unchanged, when the
+  // run leaves a non-torus mesh; movement is monotone, so the endpoint
+  // bounds every intermediate position.
+  bool advance_run(Coord& cur, int d, std::int64_t run) const {
+    const std::size_t dd = static_cast<std::size_t>(d);
+    const std::int64_t side = sides_[dd];
+    if (torus_ && side >= 2) {
+      cur[dd] = pos_mod(cur[dd] + run, side);
+      return true;
+    }
+    const std::int64_t next = cur[dd] + run;
+    if (next < 0 || next >= side) return false;
+    cur[dd] = next;
+    return true;
   }
   // Moves `cur` (the coordinate of node `id`) one unit along dimension d
   // in direction dir, wrapping on the torus, and returns the new node id:
@@ -192,6 +238,9 @@ class Mesh {
   // edge_strides_[d * dim + i]: weight of coordinate i in the index of a
   // dimension-d edge (the mixed radix above, row-major per d).
   std::vector<std::int64_t> edge_strides_;
+  // line_strides_[d * dim + i]: weight of coordinate i in the index of a
+  // dimension-d line (0 for i == d).
+  std::vector<std::int64_t> line_strides_;
 };
 
 }  // namespace oblivious

@@ -3,7 +3,6 @@
 #include <cstdlib>
 
 #include "mesh/mesh.hpp"
-#include "util/bits.hpp"
 #include "util/check.hpp"
 
 namespace oblivious {
@@ -58,20 +57,7 @@ bool is_valid_segment_path(const Mesh& mesh, const SegmentPath& sp) {
   Coord cur = mesh.coord(sp.source);
   for (const Segment& seg : sp.segments) {
     if (seg.dim < 0 || seg.dim >= mesh.dim() || seg.run == 0) return false;
-    const std::size_t dd = static_cast<std::size_t>(seg.dim);
-    const std::int64_t side = mesh.side(seg.dim);
-    if (mesh.torus() && side > 2) {
-      cur[dd] = pos_mod(cur[dd] + seg.run, side);
-    } else {
-      // Movement is monotone within a run, so the endpoint bounds every
-      // intermediate position. Side-<=2 torus dims wrap in unit steps.
-      if (mesh.torus() && side == 2) {
-        cur[dd] = pos_mod(cur[dd] + seg.run, side);
-      } else {
-        cur[dd] += seg.run;
-        if (cur[dd] < 0 || cur[dd] >= side) return false;
-      }
-    }
+    if (!mesh.advance_run(cur, seg.dim, seg.run)) return false;
   }
   return mesh.node_id(cur) == sp.dest;
 }

@@ -6,20 +6,21 @@
 // entry per maximal run -- instead of the full node sequence, so a
 // path of length L on a d-dimensional mesh costs O(#segments) ~ O(d)
 // space for the one-bend routers rather than O(L). Conversion to and
-// from the node-list `Path` is lossless; the measurement pipeline
-// (EdgeLoadMap::add_segments, route_all_segments) consumes segments
-// directly and never materializes nodes.
+// from the node-list `Path` is lossless; load accounting consumes
+// segments directly through for_each_line_range and never materializes
+// nodes.
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
 
+#include "mesh/mesh.hpp"
 #include "mesh/path.hpp"
 #include "mesh/types.hpp"
+#include "util/check.hpp"
 #include "util/small_vec.hpp"
 
 namespace oblivious {
-
-class Mesh;
 
 // One maximal straight run: `run` unit steps along `dim`, in direction
 // sign(run). On the torus steps wrap; |run| may exceed the side length
@@ -88,6 +89,67 @@ void path_from_segments_into(const Mesh& mesh, const SegmentPath& sp,
 // True when the path is non-empty, starts and ends at its recorded
 // endpoints, and every run stays on the mesh (wrap-aware).
 bool is_valid_segment_path(const Mesh& mesh, const SegmentPath& sp);
+
+// The one split of a segment path into edge ranges, for both load
+// accountants. Calls on_range(dim, line, lo, hi, count) for each range of
+// positions [lo, hi) of a line (Mesh::line_index / line_edge) that the
+// runs cross, charging each of its edges `count` times, and after each
+// run on_segment(dim, line, |run|). Per run the ranges come in this
+// order, which conservative count-min updates depend on: on a wrapping
+// torus dimension, whole laps as one full-line range (count = laps),
+// then the remainder as [start, side) and [0, rest) when it wraps; on a
+// side-2 torus dimension, the line's single edge (position 0) |run|
+// times; otherwise the one range the run covers. Empty ranges are
+// skipped. Throws when a run is along a side-1 dimension or leaves the
+// mesh, and when the runs do not end at sp.dest.
+// \pre `sp` is non-empty and every segment dimension is in range.
+template <typename OnRange, typename OnSegment>
+inline void for_each_line_range(const Mesh& mesh, const SegmentPath& sp,
+                                OnRange&& on_range, OnSegment&& on_segment) {
+  Coord cur = mesh.coord(sp.source);
+  for (const Segment& seg : sp.segments) {
+    const int d = seg.dim;
+    const std::size_t dd = static_cast<std::size_t>(d);
+    const std::int64_t side = mesh.side(d);
+    OBLV_REQUIRE(mesh.edge_dim_radix(d) > 0,
+                 "segment along a side-1 dimension");
+    const std::int64_t k = std::abs(seg.run);
+    const std::int64_t line = mesh.line_index(cur, d);
+    const std::int64_t from = cur[dd];
+    OBLV_REQUIRE(mesh.advance_run(cur, d, seg.run),
+                 "segment run leaves the mesh");
+    const auto emit = [&](std::int64_t lo, std::int64_t hi,
+                          std::int64_t count) {
+      if (lo < hi) on_range(d, line, lo, hi, count);
+    };
+    // A backward run covers the positions from its end up to its start.
+    const std::int64_t lo = seg.run > 0 ? from : cur[dd];
+    if (mesh.torus() && side > 2) {
+      if (k >= side) emit(0, side, k / side);
+      const std::int64_t rem = k % side;
+      if (lo + rem <= side) {
+        emit(lo, lo + rem, 1);
+      } else {
+        emit(lo, side, 1);
+        emit(0, lo + rem - side, 1);
+      }
+    } else if (mesh.torus() && side == 2) {
+      emit(0, 1, k);
+    } else {
+      emit(lo, lo + k, 1);
+    }
+    on_segment(d, line, k);
+  }
+  OBLV_CHECK(mesh.node_id(cur) == sp.dest,
+             "segment path destination mismatch");
+}
+
+template <typename OnRange>
+inline void for_each_line_range(const Mesh& mesh, const SegmentPath& sp,
+                                OnRange&& on_range) {
+  for_each_line_range(mesh, sp, on_range,
+                      [](int, std::int64_t, std::int64_t) {});
+}
 
 // stretch = length / dist(source, dest); 1.0 for zero-length paths.
 // \pre the segment path is non-empty.

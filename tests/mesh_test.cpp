@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <vector>
 
 #include "mesh/mesh.hpp"
 #include "mesh/region.hpp"
@@ -251,6 +252,65 @@ TEST(MeshEdges, WrapEdgeKeyedAtHighCoordinate) {
   const auto [x, y] = t.edge_endpoints(e);
   EXPECT_EQ(x, a);
   EXPECT_EQ(y, b);
+}
+
+// --- lines -------------------------------------------------------------------
+
+std::vector<Mesh> line_test_meshes() {
+  return {Mesh({16}),          Mesh({8, 8}),         Mesh({9, 7}),
+          Mesh({5, 4}, true),  Mesh({2, 3}, true),   Mesh({1, 6}),
+          Mesh({4, 4, 4}, true)};
+}
+
+// Every edge sits at (dimension, line, position) = (its dimension, the
+// line through its lower endpoint, that endpoint's coordinate), and
+// line_edge inverts edge_line.
+TEST(MeshLines, EdgeLineRoundTrips) {
+  for (const Mesh& m : line_test_meshes()) {
+    for (EdgeId e = 0; e < m.num_edges(); ++e) {
+      const Mesh::LinePos at = m.edge_line(e);
+      EXPECT_EQ(m.line_edge(at.dim, at.line, at.pos), e) << m.describe();
+      EXPECT_EQ(at.dim, m.edge_dim(e));
+      const Coord lower = m.coord(m.edge_endpoints(e).first);
+      EXPECT_EQ(at.line, m.line_index(lower, at.dim)) << m.describe();
+      EXPECT_EQ(at.pos, lower[static_cast<std::size_t>(at.dim)])
+          << m.describe();
+    }
+  }
+}
+
+// hop_edge (the per-hop accounting path) and line_edge (the per-run one)
+// number every edge alike, from either endpoint of the hop.
+TEST(MeshLines, HopEdgeMatchesLineEdge) {
+  for (const Mesh& m : line_test_meshes()) {
+    for (NodeId u = 0; u < m.num_nodes(); ++u) {
+      for (const NodeId v : m.neighbors(u)) {
+        const Coord from = m.coord(u);
+        Coord to = from;
+        const Mesh::Hop hop = m.decode_hop(to, v - u);
+        const std::int64_t line = m.line_index(from, hop.dim);
+        EXPECT_EQ(m.line_index(to, hop.dim), line);
+        EXPECT_EQ(m.hop_edge(from, hop), m.line_edge(hop.dim, line, hop.lower))
+            << m.describe() << " hop " << u << "->" << v;
+        EXPECT_EQ(m.hop_edge(to, hop), m.hop_edge(from, hop));
+      }
+    }
+  }
+}
+
+TEST(MeshLines, AdvanceRunWrapsOnTorusAndStopsAtMeshEdge) {
+  const Mesh mesh({5, 4});
+  Coord c = c2(1, 2);
+  EXPECT_TRUE(mesh.advance_run(c, 0, 3));
+  EXPECT_EQ(c, c2(4, 2));
+  EXPECT_FALSE(mesh.advance_run(c, 0, 1));
+  EXPECT_EQ(c, c2(4, 2));  // unchanged on failure
+  EXPECT_FALSE(mesh.advance_run(c, 1, -3));
+  const Mesh torus({5, 4}, true);
+  EXPECT_TRUE(torus.advance_run(c, 0, 12));  // two laps and two steps
+  EXPECT_EQ(c, c2(1, 2));
+  EXPECT_TRUE(torus.advance_run(c, 1, -3));
+  EXPECT_EQ(c, c2(1, 3));
 }
 
 }  // namespace
