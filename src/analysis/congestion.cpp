@@ -108,7 +108,8 @@ void EdgeLoadMap::add_segments(const SegmentPath& sp) {
         // A range closing at the end of the line needs no closing marker:
         // the prefix sum stops at radix-1.
         if (hi < radix) diff[base + static_cast<std::size_t>(hi)] -= count;
-      });
+      },
+      [](int, std::int64_t, std::int64_t) {});
 }
 
 void EdgeLoadMap::add_segment_paths(const std::vector<SegmentPath>& sps) {

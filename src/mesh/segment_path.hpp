@@ -144,13 +144,6 @@ inline void for_each_line_range(const Mesh& mesh, const SegmentPath& sp,
              "segment path destination mismatch");
 }
 
-template <typename OnRange>
-inline void for_each_line_range(const Mesh& mesh, const SegmentPath& sp,
-                                OnRange&& on_range) {
-  for_each_line_range(mesh, sp, on_range,
-                      [](int, std::int64_t, std::int64_t) {});
-}
-
 // stretch = length / dist(source, dest); 1.0 for zero-length paths.
 // \pre the segment path is non-empty.
 double segment_path_stretch(const Mesh& mesh, const SegmentPath& sp);
