@@ -34,8 +34,8 @@ class EdgeLoadMap {
   void add_paths(const std::vector<Path>& paths);
 
   // O(#segments): each line range of for_each_line_range becomes one
-  // range bump in a per-axis difference array (line-major, indexed by
-  // Mesh::line_index); a lap of a torus dimension charges the whole line.
+  // range bump in a per-axis difference array (line-major, in the mesh's
+  // line numbering); a lap of a torus dimension charges the whole line.
   // \pre `sp` is a non-empty valid segment path of this map's mesh.
   void add_segments(const SegmentPath& sp);
   void add_segment_paths(const std::vector<SegmentPath>& sps);

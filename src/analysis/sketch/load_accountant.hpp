@@ -8,8 +8,8 @@
 // plus a SpaceSaving top-k tracker of heavy lines (max-load candidates).
 // Both modes charge a SegmentPath through the same split of its runs into
 // line ranges (for_each_line_range, mesh/segment_path.hpp) and key edges
-// by the mesh's (dimension, line, position) numbering (Mesh::line_index,
-// line_edge, edge_line); only what a range update does differs.
+// by the mesh's (dimension, line, position) numbering (Mesh::line_edge,
+// edge_line); only what a range update does differs.
 // Estimates never underestimate, and on small meshes they stay within
 // the classic count-min (eps, delta) bound of exact values (validated in
 // tests/sketch_test.cpp; derivation in DESIGN.md section 14).
