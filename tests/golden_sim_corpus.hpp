@@ -157,39 +157,51 @@ inline void store_and_forward_entries(const SimPathSet& set,
   }
 }
 
-// Cut-through: F in {1, 8}, half and full duplex, fault-free and under a
-// dynamic fault schedule. With `reroute` set, stuck packets re-draw a path
-// through it; without, they retry the same link. Re-routing is pinned on
-// ecube paths only: they never pass through their destination early.
+// Cut-through: every policy, F in {1, 8}, half and full duplex,
+// fault-free and under a dynamic fault schedule. With `reroute` set, stuck
+// packets re-draw a path through it; without, they retry the same link.
+// Re-routing is pinned on ecube paths only: they never pass through their
+// destination early. Furthest-to-go keys carry no policy name.
 inline void cut_through_entries(const SimPathSet& set, const Router* reroute,
                                 std::vector<SimEntry>& out) {
   const FaultModel faults = sim_faults(*set.mesh);
-  for (const std::int64_t flits : {1, 8}) {
-    for (const bool full_duplex : {false, true}) {
-      for (const bool faulty : {false, true}) {
-        CutThroughOptions options;
-        options.flits_per_packet = flits;
-        options.seed = kSimSeed;
-        options.full_duplex = full_duplex;
-        if (faulty) {
-          options.faults = &faults;
-          options.reroute_router = reroute;
+  for (const SchedulingPolicy policy :
+       {SchedulingPolicy::kFurthestToGo, SchedulingPolicy::kFifo,
+        SchedulingPolicy::kRandomRank}) {
+    std::string prefix = "cut-through " + set.name;
+    if (policy != SchedulingPolicy::kFurthestToGo) {
+      prefix += ' ';
+      prefix += policy_name(policy);
+    }
+    for (const std::int64_t flits : {1, 8}) {
+      for (const bool full_duplex : {false, true}) {
+        for (const bool faulty : {false, true}) {
+          CutThroughOptions options;
+          options.policy = policy;
+          options.flits_per_packet = flits;
+          options.seed = kSimSeed;
+          options.full_duplex = full_duplex;
+          if (faulty) {
+            options.faults = &faults;
+            options.reroute_router = reroute;
+          }
+          const CutThroughResult r =
+              simulate_cut_through(*set.mesh, set.paths, options);
+          SimEntry e;
+          e.key = prefix + " F" + num(flits) +
+                  (full_duplex ? " full" : " half") +
+                  (faulty ? (reroute != nullptr ? " faults-reroute"
+                                                : " faults")
+                          : " clean");
+          e.completed = r.completed;
+          e.makespan = r.makespan;
+          e.congestion = num(r.congestion);
+          e.dilation = num(r.dilation);
+          e.latency = r.latency;
+          e.delivered = num(r.delivered);
+          e.dropped = num(r.dropped);
+          out.push_back(e);
         }
-        const CutThroughResult r =
-            simulate_cut_through(*set.mesh, set.paths, options);
-        SimEntry e;
-        e.key = "cut-through " + set.name + " F" + num(flits) +
-                (full_duplex ? " full" : " half") +
-                (faulty ? (reroute != nullptr ? " faults-reroute" : " faults")
-                        : " clean");
-        e.completed = r.completed;
-        e.makespan = r.makespan;
-        e.congestion = num(r.congestion);
-        e.dilation = num(r.dilation);
-        e.latency = r.latency;
-        e.delivered = num(r.delivered);
-        e.dropped = num(r.dropped);
-        out.push_back(e);
       }
     }
   }
