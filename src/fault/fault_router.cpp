@@ -9,6 +9,11 @@
 
 namespace oblivious {
 
+void RetryPolicy::require_valid() const {
+  OBLV_REQUIRE(max_attempts >= 1, "retry policy needs >= 1 attempt");
+  OBLV_REQUIRE(backoff_base >= 0, "backoff base must be non-negative");
+}
+
 FaultAwareRouter::FaultAwareRouter(const Router& inner,
                                    const FaultModel& faults,
                                    const RetryPolicy& policy,
@@ -20,22 +25,10 @@ FaultAwareRouter::FaultAwareRouter(const Router& inner,
       query_step_(query_step) {
   OBLV_REQUIRE(&inner.mesh() == &faults.mesh(),
                "router and fault model must share one mesh");
-  OBLV_REQUIRE(policy.max_attempts >= 1, "retry policy needs >= 1 attempt");
-  OBLV_REQUIRE(policy.backoff_base >= 0, "backoff base must be non-negative");
+  policy.require_valid();
   OBLV_REQUIRE(policy.detour_cap_factor >= 1,
                "detour cap factor must be >= 1");
 }
-
-namespace {
-
-// Backoff charged before retry k (1-based): base * 2^(k-1), shift-capped
-// so pathological budgets cannot overflow.
-inline std::int64_t backoff_for_retry(std::int64_t base, int k) {
-  const int shift = std::min(k - 1, 32);
-  return base << shift;
-}
-
-}  // namespace
 
 void FaultAwareRouter::record_outcome(const Mesh& mesh, NodeId s, NodeId t,
                                       const FaultRouteOutcome& outcome,
@@ -94,8 +87,7 @@ FaultRouteOutcome FaultAwareRouter::route_segments_with_faults(
   }
   while (outcome.attempts < policy_.max_attempts) {
     ++outcome.attempts;
-    outcome.backoff_steps +=
-        backoff_for_retry(policy_.backoff_base, outcome.attempts - 1);
+    outcome.backoff_steps += policy_.backoff(outcome.attempts - 1);
     inner_->route_segments_into(s, t, rng, scratch, out);
     if (!faults_->segments_failed(out, query_step_)) {
       outcome.status = FaultRouteStatus::kRetried;

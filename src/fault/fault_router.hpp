@@ -22,6 +22,7 @@
 // and is draw-for-draw identical to the unwrapped engine.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -40,6 +41,15 @@ struct RetryPolicy {
   std::int64_t backoff_base = 1;
   // Greedy-detour hop budget: detour_cap_factor * dist(s, t) + 16.
   std::int64_t detour_cap_factor = 8;
+
+  // Backoff charged before retry k (k >= 1): backoff_base * 2^(k-1),
+  // shift-capped so pathological budgets cannot overflow.
+  std::int64_t backoff(int k) const {
+    return backoff_base << std::min(k - 1, 32);
+  }
+  // Throws std::invalid_argument unless max_attempts >= 1 and
+  // backoff_base >= 0.
+  void require_valid() const;
 };
 
 enum class FaultRouteStatus {

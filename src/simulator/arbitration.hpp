@@ -1,6 +1,6 @@
-// Machinery shared by the three packet simulators (simulate,
-// simulate_cut_through, simulate_online): a per-packet hop cursor and a
-// dense, step-stamped link arbiter.
+// Machinery shared by the two packet simulators (simulate and
+// simulate_online): a per-packet hop cursor and a dense, step-stamped link
+// arbiter.
 //
 // Together they keep the per-step loop free of hashing and allocation,
 // and bound the simulators' own memory by O(packets + edges): a packet

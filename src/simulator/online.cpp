@@ -224,8 +224,7 @@ OnlineResult simulate_online(const Mesh& mesh, const Router& router,
           continue;
         }
         ++f.retries;
-        const std::int64_t backoff = options.retry.backoff_base
-                                     << std::min(f.retries - 1, 32);
+        const std::int64_t backoff = options.retry.backoff(f.retries);
         OBLV_COUNTER_ADD("fault.retries", 1);
         OBLV_COUNTER_ADD("fault.backoff_steps",
                          static_cast<std::uint64_t>(backoff));

@@ -192,7 +192,7 @@ TEST(AllocCount, SoaBatchEngineAllocatesNothingSteadyState) {
 // nothing per step, so a run cut off after 10 steps and the full run of
 // the same paths perform the same number of allocations, up to a small
 // constant (the obs histograms grow a bin vector when a new maximum shows
-// up).
+// up). Covers store-and-forward (F = 1) and the pipelined loop (F = 8).
 TEST(AllocCount, SimulateAllocationsDoNotGrowWithMakespan) {
 #if OBLV_CONTRACTS_ACTIVE
   GTEST_SKIP() << "contract validators allocate by design";
@@ -207,24 +207,28 @@ TEST(AllocCount, SimulateAllocationsDoNotGrowWithMakespan) {
     router->route_into(problem.demands[i].src, problem.demands[i].dst, rng,
                        scratch, paths[i]);
   }
-  const auto count_run = [&](std::int64_t max_steps) {
-    SimulationOptions options;
-    options.max_steps = max_steps;
-    const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
-    const SimulationResult r = simulate(mesh, paths, options);
-    const std::uint64_t allocs =
-        g_alloc_count.load(std::memory_order_relaxed) - before;
-    return std::make_pair(r, allocs);
-  };
-  count_run(0);  // registers the obs metrics simulate reports into
-  const auto [bounded, bounded_allocs] = count_run(10);
-  const auto [full, full_allocs] = count_run(0);
-  ASSERT_FALSE(bounded.completed);
-  ASSERT_TRUE(full.completed);
-  ASSERT_GT(full.makespan, 40);
-  EXPECT_LE(full_allocs, bounded_allocs + 4)
-      << "bounded " << bounded_allocs << ", full " << full_allocs
-      << " over " << full.makespan << " steps";
+  for (const std::int64_t flits : {1, 8}) {
+    const auto count_run = [&](std::int64_t max_steps) {
+      SimulationOptions options;
+      options.flits_per_packet = flits;
+      options.max_steps = max_steps;
+      const std::uint64_t before =
+          g_alloc_count.load(std::memory_order_relaxed);
+      const SimulationResult r = simulate(mesh, paths, options);
+      const std::uint64_t allocs =
+          g_alloc_count.load(std::memory_order_relaxed) - before;
+      return std::make_pair(r, allocs);
+    };
+    count_run(0);  // registers the obs metrics simulate reports into
+    const auto [bounded, bounded_allocs] = count_run(10);
+    const auto [full, full_allocs] = count_run(0);
+    ASSERT_FALSE(bounded.completed) << "F = " << flits;
+    ASSERT_TRUE(full.completed) << "F = " << flits;
+    ASSERT_GT(full.makespan, 40) << "F = " << flits;
+    EXPECT_LE(full_allocs, bounded_allocs + 4)
+        << "F = " << flits << ": bounded " << bounded_allocs << ", full "
+        << full_allocs << " over " << full.makespan << " steps";
+  }
 #endif
 }
 
